@@ -69,14 +69,22 @@ class SSAForm:
     facts: dict[tuple[int, int], InstructionSSA] = field(default_factory=dict)
     # (var, version) -> ("entry",) | ("phi", block) | ("ins", block, index)
     def_sites: dict[SSAName, tuple] = field(default_factory=dict)
+    # block start -> rsp delta before each instruction (and after the last)
+    _prefix: dict[int, list[int]] = field(default_factory=dict, repr=False,
+                                          compare=False)
 
     def delta_at(self, block: int, index: int) -> int:
         """rsp delta just before instruction ``index`` of ``block``."""
-        delta = self.rsp_deltas[block]
-        for ins in self.cfg.blocks[block].instructions[:index]:
-            effect = rsp_effect(ins)
-            delta += effect if effect is not None else 0
-        return delta
+        prefix = self._prefix.get(block)
+        if prefix is None:
+            delta = self.rsp_deltas[block]
+            prefix = [delta]
+            for ins in self.cfg.blocks[block].instructions:
+                effect = rsp_effect(ins)
+                delta += effect if effect is not None else 0
+                prefix.append(delta)
+            self._prefix[block] = prefix
+        return prefix[index]
 
     def use_at(self, block: int, index: int, var: Var) -> SSAName | None:
         fact = self.facts.get((block, index))

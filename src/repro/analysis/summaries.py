@@ -28,12 +28,13 @@ from repro.analysis.stack import slot_of, rsp_effect, track_stack
 class Region:
     """Byte interval ``scale*var + [lo, hi)`` a function may access.
 
-    ``var`` is a live-in register id (the value it holds on function
-    entry), or ``None`` when the base is absolute.  ``is_write`` separates
-    written regions from read-only ones.
+    ``var`` is a live-in SSA variable, a register id or a
+    ``("stack", offset)`` slot (the value it holds on function entry), or
+    ``None`` when the base is absolute.  ``is_write`` separates written
+    regions from read-only ones.
     """
 
-    var: int | None
+    var: int | tuple | None
     scale: int
     lo: int
     hi: int  # exclusive
@@ -282,8 +283,11 @@ def _merge_regions(regions: list[Region]) -> tuple[Region, ...]:
                                 lo=min(seen.lo, region.lo),
                                 hi=max(seen.hi, region.hi),
                                 is_write=region.is_write)
+    # Register ids sort before stack-slot tuples, so the key is total;
+    # within one kind the order is the plain value order.
     return tuple(sorted(hulls.values(),
                         key=lambda r: (r.is_write, r.var is None,
+                                       isinstance(r.var, tuple),
                                        r.var or 0, r.scale, r.lo)))
 
 

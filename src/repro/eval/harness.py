@@ -1,24 +1,33 @@
 """Caching execution harness for the evaluation.
 
 Every figure needs some subset of {native run, DBM-only run, training,
-Janus run at N threads} per (workload, compiler options).  The harness
-memoises all of them, so regenerating the full set of figures costs each
-execution exactly once.
+Janus run at N threads} per (workload, compiler options), plus the static
+analysis of each image.  The harness memoises all of them in memory, so
+regenerating the full set of figures costs each execution exactly once.
 
-With ``cache_dir`` set, finished ``native()``/``run()``/``training()``/
-``fig6_profile()`` results also persist on disk (pickle), keyed by
-workload name, compile options, mode, thread count and a content hash of
-the compiled image — so a recompiled or edited workload never serves a
-stale result.  ``python -m repro figures`` uses this by default;
-``--no-cache`` is the escape hatch.
+**What is cached on disk.**  With ``cache_dir`` set, every finished
+``native()``/``run()``/``training()``/``fig6_profile()`` result persists
+as a pickle, and so does each image's static analysis, stored as it
+stands right after ``analyze_image`` (before any training annotates it).
+``janus_for`` reads the analysis back instead of re-analysing; a cached
+training then re-applies its annotations to that copy.  ``python -m repro
+figures`` uses the cache by default; ``--no-cache`` is the escape hatch.
 
-With ``jobs > 1`` the disk cache doubles as the IPC medium for the
-process-parallel evaluation fan-out (:mod:`repro.eval.scheduler`):
-``warm()`` enumerates every execution cell the requested figures need,
-executes them in worker processes (each warming the shared cache with
-atomic writes), after which the parent assembles figures from warm cache
-hits.  Results are bit-identical to a serial run because every cell is
-deterministic and the cache key is independent of who computed it.
+**How entries are keyed.**  Every key carries
+:func:`repro.util.code_digest`, a hash of the package's sources, plus the
+workload name, compile options, mode, thread count and the image digest.
+The image digest itself lives in a sidecar keyed by the workload source,
+the options and the code digest, so a lookup never compiles.  A result
+computed by other code is never served: after any edit to ``repro``,
+existing ``.repro-cache`` entries become misses once and are rewritten.
+
+**When workers start.**  With ``jobs > 1`` the disk cache doubles as the
+IPC medium for the process-parallel fan-out (:mod:`repro.eval.scheduler`).
+``warm()`` plans every cell the requested figures need, reads the cached
+ones straight into the memos and sends only the rest to worker
+processes; a fully warm cache starts no pool at all.  Results are
+bit-identical to a serial run because every cell is deterministic and
+its key does not depend on who computed it.
 """
 
 from __future__ import annotations
@@ -29,7 +38,9 @@ import pickle
 
 from dataclasses import dataclass, field
 
+from repro.analysis.analyzer import BinaryAnalysis
 from repro.dbm.executor import ExecutionResult, run_native
+from repro.eval.scheduler import Cell
 from repro.jbin.loader import load
 from repro.jcc import CompileOptions
 from repro.pipeline import Janus, JanusConfig, SelectionMode
@@ -39,6 +50,7 @@ from repro.rewrite import generate_profile_schedule
 from repro.telemetry.core import get_recorder, lane_label
 from repro.util import (
     atomic_write_bytes,
+    code_digest,
     image_digest,
     read_digest_file,
     write_digest_file,
@@ -48,8 +60,8 @@ from repro.workloads.suite import workload_source
 
 MAX_INSTRUCTIONS = 20_000_000
 
-# Bump when ExecutionResult or the cached payload layout changes shape.
-_CACHE_FORMAT = 1
+# Run modes that execute without a static analysis.
+_UNANALYSED = (SelectionMode.NATIVE, SelectionMode.DBM_ONLY)
 
 
 def _options_key(options: CompileOptions) -> tuple:
@@ -63,6 +75,23 @@ def options_from_key(key: tuple) -> CompileOptions:
     return CompileOptions(opt_level=opt_level, personality=personality,
                           mavx=mavx, parallel=parallel,
                           parallel_threads=parallel_threads)
+
+
+def _replay_training(analysis: BinaryAnalysis,
+                     training: TrainingData) -> None:
+    """Re-apply the profile annotations a cached training run made.
+
+    ``Janus.train`` resolves the C/D split and records per-loop coverage
+    on the live analysis; a disk hit must leave the analysis in exactly
+    the state the original run did.
+    """
+    if training.dependence is not None:
+        for loop_id, profile in sorted(training.dependence.loops.items()):
+            analysis.loop(loop_id).apply_dependence_profile(
+                profile.has_dependence)
+    for loop_id in training.coverage.loops:
+        analysis.loop(loop_id).coverage_fraction = \
+            training.coverage.coverage(loop_id)
 
 
 @dataclass
@@ -85,11 +114,8 @@ class EvalHarness:
     # the local pipeline.  Results are identical either way because
     # schedule bytes are deterministic.
     service: str | None = None
-    _natives: dict = field(default_factory=dict)
+    _results: dict = field(default_factory=dict)   # Cell -> result
     _janus: dict = field(default_factory=dict)
-    _trainings: dict = field(default_factory=dict)
-    _runs: dict = field(default_factory=dict)
-    _profiles: dict = field(default_factory=dict)
     _digests: dict = field(default_factory=dict)
 
     # -- building blocks -------------------------------------------------------
@@ -97,114 +123,128 @@ class EvalHarness:
     def image(self, name: str, options: CompileOptions | None = None):
         return compile_workload(name, options or CompileOptions())
 
+    def _config(self) -> JanusConfig:
+        return JanusConfig(n_threads=self.n_threads,
+                           max_instructions=MAX_INSTRUCTIONS,
+                           analysis_jobs=self.jobs)
+
     def janus_for(self, name: str,
                   options: CompileOptions | None = None) -> Janus:
+        """The analysed Janus of one image, its analysis cached on disk."""
         options = options or CompileOptions()
         key = (name, _options_key(options))
         instance = self._janus.get(key)
-        if instance is None:
-            config = JanusConfig(n_threads=self.n_threads,
-                                 max_instructions=MAX_INSTRUCTIONS,
-                                 analysis_jobs=self.jobs)
-            instance = Janus(self.image(name, options), config)
-            self._janus[key] = instance
+        if instance is not None:
+            return instance
+        cell = Cell("analysis", *key)
+        analysis = self._fetch(cell)
+        if analysis is None:
+            instance = Janus(self.image(name, options), self._config())
+            self._store(cell, instance.analysis)
+        else:
+            instance = Janus(analysis.image, self._config(), analysis)
+        training = self._results.get(Cell("training", *key))
+        if training is not None:
+            _replay_training(instance.analysis, training)
+        self._janus[key] = instance
         return instance
 
     def training(self, name: str,
                  options: CompileOptions | None = None) -> TrainingData:
         options = options or CompileOptions()
-        key = (name, _options_key(options))
-        training = self._trainings.get(key)
-        if training is not None:
-            return training
-        entry = None
-        if self.cache_dir is not None:
-            entry = self._cache_entry("training", name, options)
-            training = self._disk_get(*entry)
-            if training is not None:
-                self._replay_training(name, options, training)
-                self._trainings[key] = training
-                return training
-        workload = get_workload(name)
-        with get_recorder().span("exec.training", cat="exec",
-                                 lane=lane_label("training", name),
-                                 benchmark=name):
-            training = self.janus_for(name, options).train(
-                train_inputs=list(workload.train_inputs))
-        self._trainings[key] = training
-        if entry is not None:
-            self._disk_put(*entry, training)
-        return training
 
-    def _replay_training(self, name: str, options: CompileOptions,
-                         training: TrainingData) -> None:
-        """Re-apply profile annotations a cached training run made.
+        def train() -> TrainingData:
+            workload = get_workload(name)
+            with get_recorder().span("exec.training", cat="exec",
+                                     lane=lane_label("training", name),
+                                     benchmark=name):
+                return self.janus_for(name, options).train(
+                    train_inputs=list(workload.train_inputs))
 
-        ``Janus.train`` resolves the C/D split and records per-loop
-        coverage on the live analysis; a disk hit must leave the analysis
-        in exactly the state the original run did.
-        """
-        analysis = self.janus_for(name, options).analysis
-        if training.dependence is not None:
-            for loop_id, profile in sorted(training.dependence.loops.items()):
-                analysis.loop(loop_id).apply_dependence_profile(
-                    profile.has_dependence)
-        for loop_id in training.coverage.loops:
-            analysis.loop(loop_id).coverage_fraction = \
-                training.coverage.coverage(loop_id)
+        return self._result(Cell("training", name, _options_key(options)),
+                            train)
 
     # -- on-disk persistence -----------------------------------------------------
 
-    def _image_digest(self, name: str, options: CompileOptions) -> str:
-        key = (name, _options_key(options))
+    def _cached_digest(self, name: str, options_key: tuple) -> str | None:
+        """The image digest from the memo or its sidecar; never compiles."""
+        key = (name, options_key)
         digest = self._digests.get(key)
-        if digest is not None:
-            return digest
-        side = None
-        if self.cache_dir is not None:
-            side = self._digest_path(name, options)
-            digest = self._read_digest(side)
-        if digest is None:
-            digest = image_digest(self.image(name, options))
-            if side is not None:
-                self._write_digest(side, digest)
-        self._digests[key] = digest
+        if digest is None and self.cache_dir is not None:
+            digest = read_digest_file(self._digest_path(name, options_key))
+            if digest is not None:
+                self._digests[key] = digest
         return digest
 
-    def _digest_path(self, name: str, options: CompileOptions) -> str:
-        """Side-cache file for one workload's image digest.
+    def _image_digest(self, name: str, options_key: tuple) -> str:
+        digest = self._cached_digest(name, options_key)
+        if digest is None:
+            options = options_from_key(options_key)
+            digest = image_digest(self.image(name, options))
+            if self.cache_dir is not None:
+                # Atomic (unique temp + os.replace): concurrent workers
+                # racing on one sidecar never interleave a torn file.
+                write_digest_file(self._digest_path(name, options_key),
+                                  digest)
+            self._digests[(name, options_key)] = digest
+        return digest
 
-        Keyed by the workload *source* text rather than the compiled
-        image, so a cache hit never has to compile at all.  A compiler
-        change therefore does not invalidate the side-cache — delete the
-        cache directory (or pass ``--no-cache``) after hacking on jcc.
+    def _digest_path(self, name: str, options_key: tuple) -> str:
+        """Sidecar file holding one workload's image digest.
+
+        Keyed by the workload *source* text, the compile options and
+        :func:`repro.util.code_digest`, so reading it never compiles and a
+        changed compiler (or any other code) never reads a stale digest.
         """
         source = hashlib.sha256(
             workload_source(get_workload(name)).encode()).hexdigest()
-        tag = "|".join(("digest", str(_CACHE_FORMAT), name,
-                        repr(_options_key(options)), source))
+        tag = "|".join(("digest", code_digest(), name, repr(options_key),
+                        source))
         fname = hashlib.sha256(tag.encode()).hexdigest()[:32]
         return os.path.join(self.cache_dir, "digest-" + fname + ".txt")
 
-    @staticmethod
-    def _read_digest(path: str) -> str | None:
-        # Truncated or corrupt side-caches read as None: recompute.
-        return read_digest_file(path)
-
-    @staticmethod
-    def _write_digest(path: str, digest: str) -> None:
-        # Atomic (unique temp + os.replace): concurrent daemon/fan-out
-        # workers racing on one sidecar can never interleave a torn file.
-        write_digest_file(path, digest)
-
-    def _cache_entry(self, kind: str, name: str, options: CompileOptions,
-                     mode: str = "", threads: int = 0) -> tuple[str, str]:
+    def _cell_entry(self, cell: Cell, digest: str) -> tuple[str, str]:
         """(path, tag) for one persisted result; the tag detects collisions."""
-        tag = "|".join((str(_CACHE_FORMAT), kind, name,
-                        repr(_options_key(options)), mode, str(threads),
-                        self._image_digest(name, options)))
+        tag = "|".join((code_digest(), cell.kind, cell.benchmark,
+                        repr(cell.options_key), cell.mode, str(cell.threads),
+                        digest))
         fname = hashlib.sha256(tag.encode()).hexdigest()[:32]
         return os.path.join(self.cache_dir, fname + ".pkl"), tag
+
+    def _fetch(self, cell: Cell):
+        """``cell``'s result from the disk cache, or None; never compiles."""
+        if self.cache_dir is None:
+            return None
+        digest = self._cached_digest(cell.benchmark, cell.options_key)
+        if digest is None:
+            return None
+        return self._disk_get(*self._cell_entry(cell, digest))
+
+    def _store(self, cell: Cell, result) -> None:
+        if self.cache_dir is not None:
+            digest = self._image_digest(cell.benchmark, cell.options_key)
+            self._disk_put(*self._cell_entry(cell, digest), result)
+
+    def _recall(self, cell: Cell) -> bool:
+        """True once ``cell``'s result is memoised, reading it from disk
+        if needed; a cached training is replayed onto a live analysis."""
+        if cell in self._results:
+            return True
+        result = self._fetch(cell)
+        if result is None:
+            return False
+        self._results[cell] = result
+        janus = self._janus.get((cell.benchmark, cell.options_key))
+        if cell.kind == "training" and janus is not None:
+            _replay_training(janus.analysis, result)
+        return True
+
+    def _result(self, cell: Cell, compute):
+        """``cell``'s result: memoised, cached on disk, or ``compute()``d."""
+        if not self._recall(cell):
+            result = self._results[cell] = compute()
+            self._store(cell, result)
+        return self._results[cell]
 
     def _disk_get(self, path: str, tag: str):
         # A corrupt or stale cache entry must never take the harness
@@ -231,72 +271,56 @@ class EvalHarness:
     def native(self, name: str,
                options: CompileOptions | None = None) -> ExecutionResult:
         options = options or CompileOptions()
-        key = (name, _options_key(options))
-        result = self._natives.get(key)
-        if result is not None:
+
+        def execute() -> ExecutionResult:
+            workload = get_workload(name)
+            process = load(self.image(name, options),
+                           inputs=list(workload.ref_inputs))
+            with get_recorder().span("exec.native", cat="exec",
+                                     lane=lane_label("native", name),
+                                     benchmark=name) as span:
+                result = run_native(process,
+                                    max_instructions=MAX_INSTRUCTIONS)
+                span.set(cycles=result.cycles,
+                         instructions=result.instructions)
             return result
-        entry = None
-        if self.cache_dir is not None:
-            entry = self._cache_entry("native", name, options)
-            result = self._disk_get(*entry)
-            if result is not None:
-                self._natives[key] = result
-                return result
-        workload = get_workload(name)
-        process = load(self.image(name, options),
-                       inputs=list(workload.ref_inputs))
-        with get_recorder().span("exec.native", cat="exec",
-                                 lane=lane_label("native", name),
-                                 benchmark=name) as span:
-            result = run_native(process, max_instructions=MAX_INSTRUCTIONS)
-            span.set(cycles=result.cycles,
-                     instructions=result.instructions)
-        self._natives[key] = result
-        if entry is not None:
-            self._disk_put(*entry, result)
-        return result
+
+        return self._result(Cell("native", name, _options_key(options)),
+                            execute)
 
     def run(self, name: str, mode: SelectionMode,
             options: CompileOptions | None = None,
             n_threads: int | None = None) -> ExecutionResult:
         options = options or CompileOptions()
         threads = n_threads if n_threads is not None else self.n_threads
-        key = (name, _options_key(options), mode, threads)
-        result = self._runs.get(key)
-        if result is not None:
+
+        def execute() -> ExecutionResult:
+            workload = get_workload(name)
+            schedule = None
+            if self.service is not None and mode not in _UNANALYSED:
+                schedule = self._service_schedule(name, mode, options)
+            training = None
+            if schedule is None and mode in (SelectionMode.STATIC_PROFILE,
+                                             SelectionMode.JANUS):
+                training = self.training(name, options)
+            if schedule is None and mode not in _UNANALYSED:
+                janus = self.janus_for(name, options)
+            else:  # nothing left for the analysis to decide
+                janus = Janus(self.image(name, options), self._config())
+            with get_recorder().span("exec.run", cat="exec",
+                                     lane=lane_label("run", name, mode.name,
+                                                     threads),
+                                     benchmark=name, mode=mode.name,
+                                     threads=threads) as span:
+                result = janus.run(mode, inputs=list(workload.ref_inputs),
+                                   training=training, n_threads=threads,
+                                   schedule=schedule)
+                span.set(cycles=result.cycles,
+                         instructions=result.instructions)
             return result
-        entry = None
-        if self.cache_dir is not None:
-            entry = self._cache_entry("run", name, options,
-                                      mode=mode.name, threads=threads)
-            result = self._disk_get(*entry)
-            if result is not None:
-                self._runs[key] = result
-                return result
-        workload = get_workload(name)
-        janus = self.janus_for(name, options)
-        schedule = None
-        if self.service is not None and mode not in (
-                SelectionMode.NATIVE, SelectionMode.DBM_ONLY):
-            schedule = self._service_schedule(name, mode, options)
-        training = None
-        if schedule is None and mode in (SelectionMode.STATIC_PROFILE,
-                                         SelectionMode.JANUS):
-            training = self.training(name, options)
-        with get_recorder().span("exec.run", cat="exec",
-                                 lane=lane_label("run", name, mode.name,
-                                                 threads),
-                                 benchmark=name, mode=mode.name,
-                                 threads=threads) as span:
-            result = janus.run(mode, inputs=list(workload.ref_inputs),
-                               training=training, n_threads=threads,
-                               schedule=schedule)
-            span.set(cycles=result.cycles,
-                     instructions=result.instructions)
-        self._runs[key] = result
-        if entry is not None:
-            self._disk_put(*entry, result)
-        return result
+
+        return self._result(Cell("run", name, _options_key(options),
+                                 mode.name, threads), execute)
 
     def fig6_profile(self, name: str,
                      options: CompileOptions | None = None) -> ProfileResult:
@@ -307,32 +331,23 @@ class EvalHarness:
         never reclassifies a loop as incompatible.
         """
         options = options or CompileOptions()
-        key = (name, _options_key(options))
-        profile = self._profiles.get(key)
-        if profile is not None:
-            return profile
-        entry = None
-        if self.cache_dir is not None:
-            entry = self._cache_entry("fig6profile", name, options)
-            profile = self._disk_get(*entry)
-            if profile is not None:
-                self._profiles[key] = profile
-                return profile
-        analysis = self.janus_for(name, options).analysis
-        schedule = generate_profile_schedule(analysis,
-                                             include_incompatible=True)
-        workload = get_workload(name)
-        process = load(self.image(name, options),
-                       inputs=list(workload.train_inputs))
-        with get_recorder().span("exec.fig6profile", cat="exec",
-                                 lane=lane_label("fig6profile", name),
-                                 benchmark=name):
-            profile, _ = run_profiling(process, schedule,
-                                       max_instructions=MAX_INSTRUCTIONS)
-        self._profiles[key] = profile
-        if entry is not None:
-            self._disk_put(*entry, profile)
-        return profile
+
+        def profile() -> ProfileResult:
+            analysis = self.janus_for(name, options).analysis
+            schedule = generate_profile_schedule(analysis,
+                                                 include_incompatible=True)
+            workload = get_workload(name)
+            process = load(self.image(name, options),
+                           inputs=list(workload.train_inputs))
+            with get_recorder().span("exec.fig6profile", cat="exec",
+                                     lane=lane_label("fig6profile", name),
+                                     benchmark=name):
+                result, _ = run_profiling(process, schedule,
+                                          max_instructions=MAX_INSTRUCTIONS)
+            return result
+
+        return self._result(Cell("fig6profile", name, _options_key(options)),
+                            profile)
 
     def _service_schedule(self, name: str, mode: SelectionMode,
                           options: CompileOptions):
@@ -364,8 +379,11 @@ class EvalHarness:
     # -- parallel fan-out ---------------------------------------------------------
 
     def warm(self, which=None, benchmarks=None) -> int:
-        """Execute the cells the given figures need, ``jobs`` at a time.
+        """Compute the cells the given figures need, ``jobs`` at a time.
 
+        Cells already on disk are read into the memos (without compiling
+        anything); only the rest go to worker processes, and when none is
+        left no pool is created.  Returns the number of cells computed.
         No-op (returns 0) unless ``jobs > 1`` and a cache directory is
         configured — the disk cache is the medium through which worker
         results reach this process.
@@ -373,14 +391,18 @@ class EvalHarness:
         if self.jobs <= 1 or self.cache_dir is None:
             return 0
         from repro.eval import scheduler
-        cells = scheduler.plan(which, benchmarks=benchmarks,
-                               n_threads=self.n_threads)
-        if not cells:
-            return 0
-        telemetry_dir = self.telemetry_dir() if self.telemetry else None
-        scheduler.execute(cells, self.cache_dir, jobs=self.jobs,
-                          n_threads=self.n_threads,
-                          telemetry_dir=telemetry_dir)
+        planned = scheduler.plan(which, benchmarks=benchmarks,
+                                 n_threads=self.n_threads)
+        with get_recorder().span("eval.warm", cat="eval",
+                                 planned=len(planned)) as span:
+            cells = [cell for cell in planned if not self._recall(cell)]
+            span.set(computed=len(cells))
+            if cells:
+                telemetry_dir = self.telemetry_dir() if self.telemetry \
+                    else None
+                scheduler.execute(cells, self.cache_dir, jobs=self.jobs,
+                                  n_threads=self.n_threads,
+                                  telemetry_dir=telemetry_dir)
         return len(cells)
 
     def telemetry_dir(self) -> str | None:

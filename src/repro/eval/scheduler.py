@@ -46,7 +46,9 @@ FIGURES = ("fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
 class Cell:
     """One execution the evaluation needs, in picklable form."""
 
-    kind: str            # "native" | "run" | "training" | "fig6profile"
+    # "native" | "run" | "training" | "fig6profile"; the harness also
+    # keys an image's cached static analysis as kind "analysis".
+    kind: str
     benchmark: str
     options_key: tuple   # harness._options_key(options)
     mode: str = ""       # SelectionMode *name*, for kind == "run"

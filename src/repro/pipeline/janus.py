@@ -89,10 +89,13 @@ class TrainingData:
 class Janus:
     """Automatic parallelisation of one binary, no user intervention."""
 
-    def __init__(self, image: JELF, config: JanusConfig | None = None) -> None:
+    def __init__(self, image: JELF, config: JanusConfig | None = None,
+                 analysis: BinaryAnalysis | None = None) -> None:
+        """``analysis``, if given, is a finished stage 1 of ``image``
+        (e.g. one read back from a cache); otherwise it runs on demand."""
         self.image = image
         self.config = config or JanusConfig()
-        self._analysis: BinaryAnalysis | None = None
+        self._analysis = analysis
 
     # -- stage 1: static analysis -------------------------------------------
 

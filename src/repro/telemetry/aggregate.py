@@ -91,13 +91,15 @@ def merge(dumps: list[dict]) -> dict:
 
     Counters sum across processes; gauges keep the last value seen (in
     dump order); span/instant events stay attributed to their source
-    process.  Dumps that recorded nothing (no events *and* no counters)
-    are dropped so idle pool workers do not add empty lanes.
+    process.  A dump with no events *and* no counters adds no process
+    (idle pool workers leave no empty lanes) but still contributes its
+    gauges: a recorder may hold nothing else.
     """
     processes = []
     counters: dict[str, int] = {}
     gauges: dict[str, float] = {}
     for dump in dumps:
+        gauges.update(dump.get("gauges", {}))
         if not dump.get("events") and not dump.get("counters"):
             continue
         processes.append({
@@ -108,7 +110,6 @@ def merge(dumps: list[dict]) -> dict:
         })
         for key, value in dump.get("counters", {}).items():
             counters[key] = counters.get(key, 0) + value
-        gauges.update(dump.get("gauges", {}))
     processes.sort(key=lambda p: p["pid"])
     return {"processes": processes, "counters": counters, "gauges": gauges}
 

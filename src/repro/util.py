@@ -18,10 +18,15 @@ them being *exactly* the same:
   computed by any of them is addressable by all of them.  A process-wide
   memo (plus an optional on-disk :class:`DigestCache`) means repeated
   invocations over the same bytes hash once.
+
+* **Code digest** — :func:`code_digest` identifies the code that computed
+  a cached result, so a cache key that carries it never serves a result
+  of different code.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import uuid
@@ -62,6 +67,28 @@ def sha256_hex(data: bytes) -> str:
 def image_digest(image) -> str:
     """The content identity of one compiled binary (sha256 of its bytes)."""
     return sha256_hex(image.serialize())
+
+
+@functools.cache
+def code_digest() -> str:
+    """sha256 over every ``.py`` source of the ``repro`` package.
+
+    Any edit to the package changes it, so keys that carry it turn every
+    entry written by other code into a miss.  Computed once per process.
+    """
+    root = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for directory, subdirs, files in os.walk(root):
+        subdirs.sort()
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(directory, name)
+                with open(path, "rb") as fh:
+                    source = fh.read()
+                digest.update(f"{os.path.relpath(path, root)}\0"
+                              f"{len(source)}\0".encode())
+                digest.update(source)
+    return digest.hexdigest()
 
 
 def is_digest(text: str) -> bool:

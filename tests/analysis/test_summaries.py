@@ -1,11 +1,13 @@
 """Tests for interprocedural function summaries."""
 
+import random
+
 from repro.isa import Imm, Mem, Opcode as O, Reg
 from repro.isa.operands import Label
 from repro.isa.registers import R
 from repro.analysis.cfg import build_cfgs
 from repro.analysis.disasm import disassemble
-from repro.analysis.summaries import summarise_functions
+from repro.analysis.summaries import Region, _merge_regions, summarise_functions
 
 from tests.analysis.conftest import assemble
 
@@ -216,3 +218,39 @@ class TestAccessRegions:
         # Read and write windows must not be merged together.
         assert all(not r.is_write for r in reads)
         assert summary.writes_memory
+
+
+class TestMergeRegions:
+    @staticmethod
+    def _old_order(regions):
+        return sorted(regions, key=lambda r: (r.is_write, r.var is None,
+                                              r.var or 0, r.scale, r.lo))
+
+    def test_mixed_register_and_stack_slot_vars(self):
+        regions = [Region(var=("stack", -16), scale=1, lo=0, hi=8,
+                          is_write=True),
+                   Region(var=3, scale=1, lo=0, hi=8, is_write=True),
+                   Region(var=None, scale=0, lo=64, hi=72, is_write=True),
+                   Region(var=("stack", -8), scale=1, lo=8, hi=16,
+                          is_write=False),
+                   Region(var=5, scale=8, lo=0, hi=80, is_write=False)]
+        merged = _merge_regions(regions)
+        assert [r.var for r in merged] == [5, ("stack", -8), 3,
+                                           ("stack", -16), None]
+        assert _merge_regions(list(reversed(regions))) == merged
+
+    def test_order_unchanged_where_the_old_key_sorted(self):
+        rng = random.Random(7)
+        for kind in ("int", "slot"):
+            for _ in range(50):
+                regions = []
+                for _ in range(rng.randint(1, 8)):
+                    var = rng.choice([None, 0, rng.randint(1, 9)]) \
+                        if kind == "int" else \
+                        rng.choice([None, ("stack", rng.randint(-4, 4) * 8)])
+                    regions.append(Region(var=var, scale=rng.choice([0, 1, 8]),
+                                          lo=rng.randint(0, 4),
+                                          hi=rng.randint(5, 9),
+                                          is_write=rng.random() < 0.5))
+                merged = _merge_regions(regions)
+                assert list(merged) == self._old_order(merged)

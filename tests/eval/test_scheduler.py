@@ -131,8 +131,8 @@ class TestEndToEnd:
 
         fresh = EvalHarness(cache_dir=cache)
         fresh.image = None  # any compile attempt would now blow up
-        entry = fresh._cache_entry("native", CHEAP[0], CompileOptions())
-        assert fresh._disk_get(*entry) is not None
+        cell = Cell("native", CHEAP[0], _options_key(CompileOptions()))
+        assert fresh._fetch(cell) is not None
 
 
 def _hammer_disk_put(args):

@@ -67,6 +67,13 @@ class TestMerge:
         merged = aggregate.merge([empty, _recorder_with_span().dump()])
         assert len(merged["processes"]) == 1
 
+    def test_gauge_only_dump_keeps_gauges_without_a_lane(self):
+        recorder = Recorder(label="bench")
+        recorder.gauge("throughput", 3.5)
+        merged = aggregate.merge([recorder.dump()])
+        assert merged["gauges"] == {"throughput": 3.5}
+        assert merged["processes"] == []
+
     def test_merge_preserves_events_per_process(self):
         a = _recorder_with_span().dump()
         b = _recorder_with_span().dump()
