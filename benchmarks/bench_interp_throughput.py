@@ -5,8 +5,6 @@ ys[i]``, which -O3 vectorises) and a *branchy* body (``if (xs[i] > t) ...
 else ...``, the shape the superblock tier targets) — under:
 
 * ``reference``         — per-instruction reference dispatch,
-* ``seed_closures``     — the legacy per-instruction closure lists
-                          (the pre-trace-cache JIT, kept in repro.dbm.jit),
 * ``linked_trace``      — the trace-cache tier (block linking + self-loop
                           traces) with superblock formation disabled,
 * ``superblock``        — the full tier stack: hot multi-block loops are
@@ -26,7 +24,7 @@ via the telemetry BENCH exporter::
     PYTHONPATH=src python benchmarks/bench_interp_throughput.py [out.json]
 
 The pytest entry point runs a shortened loop and asserts the acceptance
-ratios: linked trace >= 3x over the seed closures, instrumented >= 1.5x
+ratios: linked trace >= 3x over the reference dispatch, instrumented >= 1.5x
 over the hooked reference, and superblock >= 1.1x (straight-line) /
 >= 2x (branchy) over the linked-trace tier.
 """
@@ -152,30 +150,6 @@ def run_hooked_reference(image):
     return ctx, machine
 
 
-def run_seed_closures(image):
-    """The seed's execute_block: per-instruction closure lists, no linking."""
-    from repro.dbm.jit import compile_block
-
-    process, machine, ctx, interp = _fresh(image)
-
-    def execute(ctx, block):
-        ctx.cycles += block.cost
-        ctx.instructions += len(block.instructions)
-        fast = block.fast
-        if fast is None:
-            fast = block.fast = compile_block(block, interp)
-        for fn in fast:
-            transfer = fn(ctx)
-            if transfer is not None:
-                if transfer == -1:
-                    return None
-                return transfer
-        return block.end
-
-    _block_loop(process, ctx, interp, execute)
-    return ctx, machine
-
-
 def run_linked_trace(image):
     """The trace-cache tier alone: superblock formation switched off."""
     process, machine, ctx, interp = _fresh(image)
@@ -203,7 +177,6 @@ def run_instrumented(image):
 # interleaved with each other; the slow baselines run once.
 MODES = (
     ("reference", run_reference, 1),
-    ("seed_closures", run_seed_closures, 1),
     ("linked_trace", run_linked_trace, 3),
     ("superblock", run_superblock, 3),
     ("hooked_reference", run_hooked_reference, 1),
@@ -248,8 +221,6 @@ def measure_workload(name: str, template: str, reps: int) -> dict:
         }
         rec.gauge(f"bench.{name}.{mode}.mips", round(ips / 1e6, 3))
     report["ratios"] = {
-        "linked_vs_seed_closures": _ratio(
-            report["modes"], "linked_trace", "seed_closures"),
         "linked_vs_reference": _ratio(
             report["modes"], "linked_trace", "reference"),
         "superblock_vs_linked_trace": _ratio(
@@ -273,7 +244,7 @@ def test_throughput_smoke():
     report = measure(reps=32)
     straight = report["workloads"]["straight"]["ratios"]
     branchy = report["workloads"]["branchy"]["ratios"]
-    assert straight["linked_vs_seed_closures"] >= 3.0, report
+    assert straight["linked_vs_reference"] >= 3.0, report
     assert straight["instrumented_vs_hooked_reference"] >= 1.5, report
     assert straight["superblock_vs_linked_trace"] >= 1.1, report
     assert branchy["superblock_vs_linked_trace"] >= 2.0, report

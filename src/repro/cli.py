@@ -625,13 +625,17 @@ def _cmd_jit_dump(args) -> int:
     for pc in pcs:
         block = cache[pc]
         for tier, attr in _JIT_TIERS:
-            source = getattr(getattr(block, attr), "__jit_source__", None)
-            if source is None:
+            runner = getattr(block, attr)
+            if runner is None:
                 continue
             shown += 1
             print(f"-- {pc:#x} [{tier}] "
                   f"{len(block.instructions)} instructions")
-            print(source)
+            # The runner's op list (repro.dbm.jitir) above the source
+            # emitted from it, as comments.
+            for op in runner.__jit_ops__():
+                print(f"# {op}")
+            print(runner.__jit_source__)
     print(f"[jit-dump] {len(cache)} blocks in code cache, "
           f"{shown} compiled runners printed", file=sys.stderr)
     return 0
@@ -961,8 +965,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     jd = sub.add_parser("jit-dump",
                         help="run a suite workload natively and print the "
-                             "generated-Python source of its compiled "
-                             "blocks, traces and superblocks")
+                             "op list and generated-Python source of its "
+                             "compiled blocks, traces and superblocks")
     jd.add_argument("workload", help="suite workload name, e.g. 470.lbm")
     jd.add_argument("--pc",
                     help="only the block at this address (0x-hex or "

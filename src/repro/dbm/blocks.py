@@ -24,8 +24,6 @@ class Block:
     instructions: list[Instruction]
     end: int  # fall-through address (address after the last instruction)
     cost: int = 0
-    # Lazily compiled closure form (legacy unlinked JIT); never compared.
-    fast: list | None = field(default=None, repr=False, compare=False)
     # Trace-cache tier runners (see repro.dbm.jit.compile_block_fn):
     # the fast variant (no instrumentation; may link/trace) and the
     # instrumented variant (mem_hook/transaction threaded through).

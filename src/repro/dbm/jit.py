@@ -9,64 +9,70 @@ time, and the generated source is ``exec``-compiled so steady-state
 execution is straight-line Python bytecode with no per-instruction
 dispatch.
 
-Two variants exist per block:
+Every runner is built from the op-list IR of :mod:`repro.dbm.jitir`: the
+block is lowered to typed ops and the :class:`Emitter` below writes the
+Python source from them once, at the end.  Block runners are the
+baseline tier and skip the IR passes (most blocks run a handful of times:
+short source that compiles fast matters more); the superblock tier
+(:mod:`repro.dbm.superblock`) stitches op lists, runs the passes and uses
+the same emitter.
 
-* the **fast** variant assumes no instrumentation (no ``mem_hook``, no open
-  transaction, no block listeners) and reads/writes machine memory
-  directly; it may *link*: a terminator resolves its successor's compiled
-  :class:`~repro.dbm.blocks.Block` once through the dispatcher's ``lookup``
-  and caches it, so the dispatch loop skips the code-cache lookup.  A
-  self-looping block (a DOALL loop body) is promoted to a *trace*: the
-  whole block body spins inside the compiled function and only returns to
-  the dispatcher every ``TRACE_BUDGET`` iterations (so instruction limits
-  stay enforced).
-* the **instrumented** variant threads ``mem_hook`` and the active
-  transaction through every memory access *dynamically* (checked per
-  access, exactly like the reference ``_exec``), so profiling and STM
-  worker runs also execute compiled code.
-* the **shadow** variant (``shadow=True``; selected by the dispatcher when
-  ``interp.shadow_sink`` is installed) keeps the fast variant's direct
-  memory access and linking/tracing, and additionally records shadow
-  events for the parallel runtime: the worker's stack/TLS filter bounds
-  are inlined as compile-time constants and passing addresses are
-  appended to the worker's :class:`~repro.dbm.shadow.ShadowSink` lists —
-  no closure call, no per-lane set insert.  Access sites statically
-  proven affine (``interp.shadow_summarised``) are skipped entirely; the
-  runtime covers them with per-chunk stride descriptors.  Blocks
-  containing RTCALL/SYSCALL compile a *dynamic* shadow form that
-  re-checks the open transaction per access (such a block can close the
-  STM window mid-block); the dispatcher keys on ``__shadow_dynamic__``.
+The runner variants differ *only* in how memory accesses are lowered --
+one memory policy per runner, chosen once by :func:`select_policy`:
+
+* **fast** (:class:`_Fast`) -- no instrumentation (no ``mem_hook``, no
+  open transaction, no block listeners): words go through the checked
+  ``Memory.read``/``write``, or in a superblock straight through the
+  memory dict's C-level methods.  Fast runners *link*: a terminator
+  resolves its successor's compiled :class:`~repro.dbm.blocks.Block` once
+  through the dispatcher's ``lookup`` and caches it, so the dispatch loop
+  skips the code-cache lookup.  A self-looping block (a DOALL loop body)
+  is promoted to a *trace*: the whole block body spins inside the
+  compiled function and only returns to the dispatcher every
+  ``TRACE_BUDGET`` iterations (so instruction limits stay enforced).
+* **instrumented** (:class:`_Instrumented`) -- ``mem_hook`` and the
+  active transaction are threaded through every memory access
+  *dynamically* (checked per access, exactly like the reference
+  ``_exec``), so profiling and STM worker runs also execute compiled code.
+* **static shadow** (:class:`_StaticShadow`; selected when
+  ``interp.shadow_sink`` is installed) -- fast access and linking, plus
+  shadow events for the parallel runtime: the worker's stack/TLS filter
+  bounds are inlined as constants and passing addresses are appended to
+  the worker's :class:`~repro.dbm.shadow.ShadowSink` lists.  Access sites
+  statically proven affine (``interp.shadow_summarised``) are skipped;
+  the runtime covers them with per-chunk stride descriptors.
+* **dynamic shadow** (:class:`_DynamicShadow`) -- for blocks containing
+  RTCALL/SYSCALL, which can close the STM window mid-block: the open
+  transaction is re-checked per access; the dispatcher keys on
+  ``__shadow_dynamic__``.
 
 Indirect terminators (``ret``/``jmpi``/``calli``) keep a one-entry inline
-cache mapping the last raw target to its compiled block — DynamoRIO's
+cache mapping the last raw target to its compiled block -- DynamoRIO's
 indirect-branch lookup cache.
 
 Semantics are defined by :mod:`repro.dbm.interp`; the differential sweep in
-``tests/dbm/test_jit.py`` pins every opcode template against the reference
-interpreter.  Opcodes without a template (none today) fall back to the
-reference ``_exec`` per instruction and are counted in
+``tests/dbm/test_jit.py`` pins every opcode's lowering against the
+reference interpreter.  Opcodes without a lowering (none today) fall back
+to the reference ``_exec`` per instruction and are counted in
 ``JITStats.fallback_instructions``.
-
-The legacy closure-list compiler (``compile_block``) is retained at the
-bottom of this module as the benchmark baseline for the unlinked JIT
-(``benchmarks/bench_interp_throughput.py``).
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
-from repro.isa.instructions import CONDITION_OF, Instruction, Opcode
-from repro.isa.operands import Imm, Mem, Reg
-from repro.isa.registers import STACK_REG, XMM_BASE
+from repro.isa.instructions import Opcode
 from repro.jbin import layout
+from repro.dbm.jitir import (BARRIER_OPCODES, COND_EXPR, FN, GPR, JCC, LANE,
+                             aligned, lower_block)
 from repro.dbm.machine import HALT_ADDRESS
-from repro.dbm.memory import f64_to_i64, i64_to_f64, s64
+from repro.dbm.memory import (_PACK_D, _PACK_Q, _UNPACK_D, _UNPACK_Q,
+                              MemoryFault, s64)
 from repro.telemetry.core import RegistryView
 
 _I64_MAX = 9223372036854775807
 _I64_MIN = -9223372036854775808
-_U64 = (1 << 64) - 1
 
 # Iterations a self-loop trace (or a superblock) may spin before returning
 # to the dispatcher (bounds how late an instruction limit can be detected).
@@ -74,23 +80,9 @@ _U64 = (1 << 64) - 1
 # ``JanusConfig.trace_budget``.
 TRACE_BUDGET = 4096
 
-_COND_EXPR = {
-    "e": "f == 0",
-    "ne": "f != 0",
-    "l": "f < 0",
-    "le": "f <= 0",
-    "g": "f > 0",
-    "ge": "f >= 0",
-}
-
-_JCC = frozenset((Opcode.JE, Opcode.JNE, Opcode.JL,
-                  Opcode.JLE, Opcode.JG, Opcode.JGE))
-_CMOV = frozenset((Opcode.CMOVE, Opcode.CMOVNE, Opcode.CMOVL,
-                   Opcode.CMOVLE, Opcode.CMOVG, Opcode.CMOVGE))
-_PACKED = frozenset((Opcode.MOVAPD, Opcode.ADDPD, Opcode.SUBPD,
-                     Opcode.MULPD, Opcode.DIVPD, Opcode.VMOVAPD,
-                     Opcode.VADDPD, Opcode.VSUBPD, Opcode.VMULPD,
-                     Opcode.VDIVPD))
+# Where each architectural name lives when it is not a promoted local.
+CELLS = {name: f"g[{rid}]" for rid, name in enumerate(GPR)}
+CELLS.update({name: f"x[{lane}]" for lane, name in enumerate(LANE)})
 
 
 class JITStats(RegistryView):
@@ -112,31 +104,35 @@ def _identity(value: int) -> int:
     return value
 
 
-def _instrumented_helpers(interp) -> dict:
-    """Per-interpreter memory helpers that re-check hook/tx on every access.
+# ---------------------------------------------------------------------------
+# Memory policies
+# ---------------------------------------------------------------------------
 
-    The hook and transaction are read *at call time* (not bound at compile
-    time) because profiling installs ``mem_hook`` mid-run via RTCALLs
-    (external-call windows) and workers open transactions mid-block.
-    """
+def _tx_helpers(interp) -> dict:
+    """Word access re-checking hook and transaction per access: profiling
+    installs ``mem_hook`` mid-run via RTCALLs (external-call windows) and
+    workers open transactions mid-block.  Given the instruction, an access
+    calls the hook first; the worker's own stack bypasses the transaction."""
     memory_read = interp.machine.memory.read
     memory_write = interp.machine.memory.write
     stack_size = layout.THREAD_STACK_SIZE
 
-    def _hr(ctx, addr, ins):
-        hook = interp.mem_hook
-        if hook is not None:
-            hook(ctx, ins, addr, False, 1)
+    def _rat(ctx, addr, ins=None):
+        if ins is not None:
+            hook = interp.mem_hook
+            if hook is not None:
+                hook(ctx, ins, addr, False, 1)
         tx = interp.active_tx
         if tx is not None and not (
                 ctx.stack_top - stack_size < addr <= ctx.stack_top):
             return tx.read(addr)
         return memory_read(addr)
 
-    def _hw(ctx, addr, ins, value):
-        hook = interp.mem_hook
-        if hook is not None:
-            hook(ctx, ins, addr, True, 1)
+    def _wat(ctx, addr, value, ins=None):
+        if ins is not None:
+            hook = interp.mem_hook
+            if hook is not None:
+                hook(ctx, ins, addr, True, 1)
         tx = interp.active_tx
         if tx is not None and not (
                 ctx.stack_top - stack_size < addr <= ctx.stack_top):
@@ -144,101 +140,173 @@ def _instrumented_helpers(interp) -> dict:
             return
         memory_write(addr, value)
 
-    def _rat(ctx, addr):
-        tx = interp.active_tx
-        if tx is not None and not (
-                ctx.stack_top - stack_size < addr <= ctx.stack_top):
-            return tx.read(addr)
-        return memory_read(addr)
-
-    def _wat(ctx, addr, value):
-        tx = interp.active_tx
-        if tx is not None and not (
-                ctx.stack_top - stack_size < addr <= ctx.stack_top):
-            tx.write(addr, value)
-            return
-        memory_write(addr, value)
-
-    def _ph(ctx, addr, ins, is_write, lanes):
-        hook = interp.mem_hook
-        if hook is not None:
-            hook(ctx, ins, addr, is_write, lanes)
-
-    return {"_hr": _hr, "_hw": _hw, "_rat": _rat, "_wat": _wat, "_ph": _ph}
+    return {"_rat": _rat, "_wat": _wat}
 
 
-def _shadow_helpers(interp, sink) -> dict:
-    """Memory helpers for *dynamic* shadow blocks (contain RTCALL/SYSCALL).
+class _Fast:
+    """Uninstrumented word access.
+
+    Block runners call the checked ``Memory.read``/``write``.  With
+    ``inline`` (superblocks) words go through the memory dict's C-level
+    methods, and the checked helpers only run to raise the fault of an
+    address that is not provably 8-aligned -- the emitter tests it first
+    and settles all state before the raise.
+
+    A policy *records* an access (``records``/``record``) when it must
+    observe it beyond the read or write itself; quiet accesses (stack
+    slots, packed lanes) are never recorded, and a packed access records
+    one event for all its lanes.
+    """
+
+    label = "fast"
+    traces = True
+    hooked = False  # calls mem_hook (counted in JITStats.instrumented_blocks)
+    transactional = False  # accesses may have to go through a transaction
+    attributes: dict = {}  # set on the compiled runner
+
+    def __init__(self, interp, inline=False):
+        self.interp = interp
+        self.inline = inline
+
+    def bind(self, ns: dict) -> None:
+        memory = self.interp.machine.memory
+        ns.update(_wg=memory.words.get, _ws=memory.words.__setitem__,
+                  _mr=memory.read, _mw=memory.write)
+        if self.transactional:
+            ns.update(_tx_helpers(self.interp))
+
+    def records(self, op) -> bool:
+        return False
+
+    def fault(self, a: str, write: bool) -> str:
+        return f"_mw({a}, 0)" if write else f"_mr({a})"
+
+    def read(self, em, op, a: str) -> str:
+        if self.transactional:
+            return f"_rat(ctx, {a}{self.hook(em, op)})"
+        return f"_wg({a}, 0)" if self.inline else f"_mr({a})"
+
+    def write(self, em, op, a: str, value: str) -> str:
+        if self.transactional:
+            return f"_wat(ctx, {a}, {value}{self.hook(em, op)})"
+        return f"_ws({a}, {value})" if self.inline else f"_mw({a}, {value})"
+
+    def hook(self, em, op) -> str:
+        """The argument that makes a helper access call ``mem_hook``."""
+        return f", {em.ins_name(op.ins)}" if self.hooked and not op.aux else ""
+
+    def legality(self) -> str:
+        return "_in.mem_hook is not None or _in.active_tx is not None"
+
+
+class _Instrumented(_Fast):
+    """Hook and transaction threaded through every access (profiling, STM).
+
+    The hook and transaction are read *at run time* (not bound at compile
+    time) because profiling installs ``mem_hook`` mid-run via RTCALLs
+    (external-call windows) and workers open transactions mid-block.
+    """
+
+    label = "inst"
+    traces = False
+    hooked = True
+    transactional = True
+
+    def records(self, op):
+        return op.kind == "probe"  # scalar accesses hook in the helpers
+
+    def record(self, em, op, a, write, lanes=1):
+        em.emit(f"if _in.mem_hook is not None: _in.mem_hook(ctx, "
+                f"{em.ins_name(op.ins)}, {a}, {write}, {lanes})")
+
+
+class _StaticShadow(_Fast):
+    """Fast access plus inlined shadow recording for a tx-free block.
+
+    A block without RTCALL/SYSCALL is provably tx-free for its whole run
+    (the dispatcher only selects this form when no tx is open at entry),
+    so it records through inlined filter constants.
+    """
+
+    label = "shadow"
+    attributes = {"__shadow_dynamic__": False}
+    recorded_if = ""
+
+    def __init__(self, interp, inline=False):
+        super().__init__(interp, inline)
+        sink = self.sink = interp.shadow_sink
+        self.summarised = interp.shadow_summarised
+        # Most heap addresses sit below both excluded regions: one
+        # compare short-circuits the full four-compare filter.
+        self.bounds = (min(sink.stack_lo + 1, sink.tls_lo), sink.stack_lo,
+                       sink.stack_hi, sink.tls_lo, sink.tls_hi)
+
+    def bind(self, ns):
+        super().bind(ns)
+        sink = self.sink
+        ns.update(_re=sink.reads.append, _we=sink.writes.append,
+                  _pre=sink.packed_reads.append,
+                  _pwe=sink.packed_writes.append, _sk=sink)
+
+    def records(self, op) -> bool:
+        # Sites covered by a stride descriptor compile to nothing.
+        return not op.aux and (op.ins.address or 0) not in self.summarised
+
+    def record(self, em, op, a, write, lanes=1):
+        """The inlined filter: record iff outside own stack and TLS."""
+        low, slo, shi, tlo, thi = self.bounds
+        passes = (f"{a} < {low} or (({a} <= {slo} or {a} > {shi}) and "
+                  f"({a} < {tlo} or {a} >= {thi}))")
+        if op.kind == "probe":
+            call = f"{'_pwe' if write else '_pre'}(({a}, {lanes}))"
+        else:
+            call = f"{'_we' if write else '_re'}({a})"
+        if self.recorded_if:
+            passes = f"{self.recorded_if}({passes})"
+        em.emit(f"if {passes}: {call}")
+
+    def legality(self):
+        # The sink the events land in was bound at compile time: a
+        # swapped (or removed) sink must deopt to the dispatcher.
+        return super().legality() + " or _in.shadow_sink is not _sk"
+
+
+class _DynamicShadow(_StaticShadow):
+    """Shadow recording for a block with RTCALL/SYSCALL.
 
     Such a block can open or close a transaction mid-block, so the tx
     state is re-checked per access.  The hook-mode recording contract is
     reproduced exactly: accesses under an open transaction are invisible
-    to the shadow, and the worker's own stack/TLS regions are filtered on
-    the base address.
+    to the shadow (and go through the transaction), and the worker's own
+    stack/TLS regions are filtered on the base address.
     """
-    memory_read = interp.machine.memory.read
-    memory_write = interp.machine.memory.write
-    stack_size = layout.THREAD_STACK_SIZE
-    tls_lo, tls_hi = sink.tls_lo, sink.tls_hi
-    stack_lo, stack_hi = sink.stack_lo, sink.stack_hi
-    reads_append = sink.reads.append
-    writes_append = sink.writes.append
-    packed_reads_append = sink.packed_reads.append
-    packed_writes_append = sink.packed_writes.append
 
-    def _sr(ctx, addr):
-        tx = interp.active_tx
-        if tx is None:
-            if (addr <= stack_lo or addr > stack_hi) and (
-                    addr < tls_lo or addr >= tls_hi):
-                reads_append(addr)
-            return memory_read(addr)
-        if not (ctx.stack_top - stack_size < addr <= ctx.stack_top):
-            return tx.read(addr)
-        return memory_read(addr)
+    attributes = {"__shadow_dynamic__": True}
+    traces = False
+    transactional = True
+    recorded_if = "_in.active_tx is None and "
 
-    def _sw(ctx, addr, value):
-        tx = interp.active_tx
-        if tx is None:
-            if (addr <= stack_lo or addr > stack_hi) and (
-                    addr < tls_lo or addr >= tls_hi):
-                writes_append(addr)
-            memory_write(addr, value)
-            return
-        if not (ctx.stack_top - stack_size < addr <= ctx.stack_top):
-            tx.write(addr, value)
-            return
-        memory_write(addr, value)
 
-    def _sp(ctx, addr, lanes, is_write):
-        # Packed probe: one base-filtered event covering all lanes (the
-        # hook records one line event at the base plus per-lane words;
-        # the view expands the lanes at query time).
-        if interp.active_tx is None and (
-                addr <= stack_lo or addr > stack_hi) and (
-                addr < tls_lo or addr >= tls_hi):
-            if is_write:
-                packed_writes_append((addr, lanes))
-            else:
-                packed_reads_append((addr, lanes))
+def select_policy(interp, instructions, instrumented=False, shadow=False,
+                  inline=False):
+    """The memory policy of one runner (the only place variants differ).
 
-    def _rat(ctx, addr):
-        tx = interp.active_tx
-        if tx is not None and not (
-                ctx.stack_top - stack_size < addr <= ctx.stack_top):
-            return tx.read(addr)
-        return memory_read(addr)
+    ``inline`` (superblocks) reads and writes words through the memory
+    dict's C-level methods; block runners call the checked helpers,
+    which keeps the source of the many cold blocks short to compile.
+    """
+    if instrumented:
+        return _Instrumented(interp)
+    if not shadow:
+        return _Fast(interp, inline)
+    if any(ins.opcode in BARRIER_OPCODES for ins in instructions):
+        return _DynamicShadow(interp)
+    return _StaticShadow(interp, inline)
 
-    def _wat(ctx, addr, value):
-        tx = interp.active_tx
-        if tx is not None and not (
-                ctx.stack_top - stack_size < addr <= ctx.stack_top):
-            tx.write(addr, value)
-            return
-        memory_write(addr, value)
 
-    return {"_sr": _sr, "_sw": _sw, "_sp": _sp, "_rat": _rat, "_wat": _wat}
-
+# ---------------------------------------------------------------------------
+# Block runners
+# ---------------------------------------------------------------------------
 
 def compile_block_fn(block, interp, lookup=None, instrumented=False,
                      shadow=False):
@@ -257,274 +325,337 @@ def compile_block_fn(block, interp, lookup=None, instrumented=False,
     once).  With ``lookup=None`` the runner never links and never builds
     traces.
     """
-    from repro.dbm.interp import JXRuntimeError
+    instructions = block.instructions
+    policy = select_policy(interp, instructions, instrumented, shadow)
+    em = Emitter(interp, lookup, policy, block)
+    ops = lower_block(instructions, em.resolve, block.end)
+    trace = em.traceable()
+    # A checked helper may raise MemoryFault (a misaligned word) while the
+    # flags -- the only state a block runner keeps in a local -- differ
+    # from ctx.flags: a handler settles them, costing the hot path nothing.
+    # Only a word access after a flag write (or a back edge) needs it.
+    written = next((k for k, op in enumerate(ops) if op.dst == "f"), len(ops))
+    settle = any(op.kind in ("load", "store")
+                 for op in ops[0 if trace else written:])
+    if settle:
+        em.emit("try:")
+        em.indent += 1
+    if trace:
+        # The dispatcher counts entries to self-loop heads toward
+        # superblock promotion (repro.dbm.superblock).
+        block.is_self_loop = True
+        em.loop = "trace"
+        em.exit_stat = "_st.trace_exits"
+        em.ns["_self"] = block
+        em.emit("_st.trace_entries += 1")
+        em.emit(f"n = {interp.trace_budget}")
+        em.emit("while True:")
+        em.indent += 1
+    em.emit(f"ctx.cycles += {block.cost}")
+    em.emit(f"ctx.instructions += {len(instructions)}")
+    em.body(ops)
+    if settle:
+        em.indent = 1
+        em.emit("except _MF:")
+        em.emit("    ctx.flags = f")
+        em.emit("    raise")
+    interp.jit_stats.blocks_translated += 1
+    interp.jit_stats.instrumented_blocks += policy.hooked
+    return em.finish(f"_jx_{block.start:x}", policy.label,
+                     ["g = ctx.gregs", "x = ctx.fregs", "f = ctx.flags"],
+                     partial(lower_block, instructions, em.resolve,
+                             block.end))
 
-    compiler = _BlockCompiler(block, interp, lookup, instrumented,
-                              JXRuntimeError, shadow=shadow)
-    fn = compiler.build()
-    stats = interp.jit_stats
-    stats.blocks_translated += 1
-    if instrumented:
-        stats.instrumented_blocks += 1
-    return fn
 
+class Emitter:
+    """Writes the Python source of one runner from its op list.
 
-class _BlockCompiler:
-    """Generates the Python source of one block runner and exec-compiles it."""
+    Architectural names map to ``ctx`` register-file cells unless
+    promoted to locals (``promoted``; the superblock tier).  ``charge``
+    is ``None`` when the runner charged its cost at entry, or the
+    superblock's ``(cycles, instructions, budget)`` per iteration when
+    every exit settles the charge itself.
+    """
 
-    def __init__(self, block, interp, lookup, instrumented, error_type,
-                 shadow=False):
-        self.block = block
-        self.interp = interp
+    def __init__(self, interp, lookup, policy, block):
+        from repro.dbm.interp import JXRuntimeError
+
         self.lookup = lookup
-        self.instrumented = instrumented
-        self.shadow = shadow
+        self.policy = policy
+        self.block = block
         self.stats = interp.jit_stats
         process = interp.process
         self.resolve = (process.resolve_target if process is not None
                         else _identity)
         self.ns = {
             "_s64": s64,
-            "_i2f": i64_to_f64,
-            "_f2i": f64_to_i64,
             "_sqrt": math.sqrt,
             "_st": self.stats,
-            "_err": error_type,
+            "_in": interp,
+            "_err": JXRuntimeError,
             "_sys": interp._syscall,
             "_x": interp._exec,
-            "_Z4": (0.0, 0.0, 0.0, 0.0),
+            "_MF": MemoryFault,
+            # Bound struct codecs for the f64<->i64 bit-casts: generated
+            # code calls these C-level methods directly instead of the
+            # Python-level wrappers (one frame per access adds up).
+            "_uD": _UNPACK_D,
+            "_pQ": _PACK_Q,
+            "_pD": _PACK_D,
+            "_uQ": _UNPACK_Q,
         }
-        if shadow:
-            # A block with RTCALL/SYSCALL can open or close a transaction
-            # mid-block: its shadow form re-checks the tx per access.  A
-            # block without either is provably tx-free for its whole run
-            # (the dispatcher only selects the static form when no tx is
-            # open at entry) and records through inlined filter constants.
-            sink = interp.shadow_sink
-            self.sink = sink
-            self.summarised = interp.shadow_summarised
-            self.shadow_dynamic = any(
-                ins.opcode in (Opcode.SYSCALL, Opcode.RTCALL)
-                for ins in block.instructions)
-            self._slo, self._shi = sink.stack_lo, sink.stack_hi
-            self._tlo, self._thi = sink.tls_lo, sink.tls_hi
-            # Most heap addresses sit below both excluded regions: one
-            # compare short-circuits the full four-compare filter.
-            self._low = min(sink.stack_lo + 1, sink.tls_lo)
-            self.n_shadow = 0
-        else:
-            self.shadow_dynamic = False
-        # Stack-word accesses (PUSH/POP/CALL/RET spill slots) are never
-        # shadow-recorded (they always hit the worker's own stack) but
-        # still need tx redirection when a transaction can be open.
-        self.stack_guarded = instrumented or self.shadow_dynamic
-        if instrumented:
-            self.ns.update(_instrumented_helpers(interp))
-        else:
-            memory = interp.machine.memory
-            self.ns["_mr"] = memory.read
-            self.ns["_mw"] = memory.write
-            if shadow:
-                if self.shadow_dynamic:
-                    self.ns.update(_shadow_helpers(interp, sink))
-                else:
-                    self.ns["_re"] = sink.reads.append
-                    self.ns["_we"] = sink.writes.append
-                    self.ns["_pre"] = sink.packed_reads.append
-                    self.ns["_pwe"] = sink.packed_writes.append
-
-        def _rt(ctx, hid, arg, _interp=interp, _error=error_type):
-            handler = _interp.rtcall_handler
-            if handler is None:
-                raise _error("RTCALL executed with no runtime attached")
-            return handler(ctx, hid, arg)
-
-        self.ns["_rt"] = _rt
+        policy.bind(self.ns)
         self.lines: list[str] = []
         self.indent = 1
+        self.n = 0
         self.links: list = []
-        self.n_slots = 0
-        self.n_caches = 0
+        self.names = CELLS
+        self.promoted: list[str] = []
+        self.charge = None
+        self.prefix = (0, 0)
+        self.loop = None      # None, "trace" or "super"
+        self.exit_stat = None  # counter bumped by every leaving exit
 
-    # -- source emission helpers --------------------------------------------
+    # -- source helpers -------------------------------------------------------
 
     def emit(self, line: str) -> None:
         self.lines.append("    " * self.indent + line)
 
-    def ins_name(self, k: int, ins: Instruction) -> str:
-        name = f"_i{k}"
+    def temp(self, prefix: str) -> str:
+        self.n += 1
+        return f"{prefix}{self.n}"
+
+    def ins_name(self, ins) -> str:
+        name = self.temp("_i")
         self.ns[name] = ins
         return name
 
-    def greg(self, rid: int) -> str:
-        """The expression for general-purpose register ``rid``.
+    def val(self, value) -> str:
+        if value.__class__ is str:
+            return self.names.get(value, value)
+        return repr(value)
 
-        The superblock compiler overrides this to return a promoted Python
-        local; every GPR access in generated code must go through here.
-        """
-        return f"g[{rid}]"
-
-    def ea(self, m: Mem) -> str:
+    def addr(self, args) -> str:
+        base, index, scale, disp = args[:4]
         parts = []
-        if m.base is not None:
-            parts.append(self.greg(m.base))
-        if m.index is not None:
-            if m.scale != 1:
-                parts.append(f"{self.greg(m.index)}*{m.scale}")
-            else:
-                parts.append(self.greg(m.index))
-        if m.disp or not parts:
-            parts.append(str(m.disp))
+        if base is not None:
+            parts.append(self.val(base))
+        if index is not None:
+            index = self.val(index)
+            parts.append(index if scale == 1 else f"{index}*{scale}")
+        if disp or not parts:
+            parts.append(str(disp))
         return " + ".join(parts)
 
-    # -- shadow recording (see repro.dbm.shadow) ------------------------------
+    def address(self, op) -> str:
+        """The address of a memory op as a name (computed once; it is
+        dead once the op is emitted)."""
+        expr = self.addr(op.args)
+        if " " not in expr:
+            return expr
+        self.emit(f"a = {expr}")
+        return "a"
 
-    def shadow_temp(self) -> str:
-        name = f"sa{self.n_shadow}"
-        self.n_shadow += 1
-        return name
-
-    def record_cond(self, var: str) -> str:
-        """The inlined filter: record iff outside own stack and TLS."""
-        return (f"{var} < {self._low} or (({var} <= {self._slo} or "
-                f"{var} > {self._shi}) and ({var} < {self._tlo} or "
-                f"{var} >= {self._thi}))")
-
-    def emit_record(self, var: str, call: str) -> None:
-        self.emit(f"if {self.record_cond(var)}: {call}")
-
-    def shadow_read_expr(self, op, ins: Instruction) -> str:
-        """Expression for a shadow-recorded Mem read (emits the record)."""
-        ea = self.ea(op)
-        if self.addr_of(ins) in self.summarised:
-            if self.shadow_dynamic:
-                return f"_rat(ctx, {ea})"
-            return f"_mr({ea})"
-        if self.shadow_dynamic:
-            return f"_sr(ctx, {ea})"
-        sa = self.shadow_temp()
-        self.emit(f"{sa} = {ea}")
-        self.emit_record(sa, f"_re({sa})")
-        return f"_mr({sa})"
-
-    def shadow_write(self, op, ins: Instruction, value: str) -> None:
-        ea = self.ea(op)
-        if self.addr_of(ins) in self.summarised:
-            if self.shadow_dynamic:
-                self.emit(f"_wat(ctx, {ea}, {value})")
-            else:
-                self.emit(f"_mw({ea}, {value})")
-            return
-        if self.shadow_dynamic:
-            self.emit(f"_sw(ctx, {ea}, {value})")
-            return
-        sa = self.shadow_temp()
-        self.emit(f"{sa} = {ea}")
-        self.emit_record(sa, f"_we({sa})")
-        self.emit(f"_mw({sa}, {value})")
-
-    # -- operand access -------------------------------------------------------
-
-    def iread(self, op, k: int, ins: Instruction) -> str:
-        t = type(op)
-        if t is Reg:
-            return self.greg(op.id)
-        if t is Imm:
-            return repr(op.value)
-        if self.instrumented:
-            return f"_hr(ctx, {self.ea(op)}, {self.ins_name(k, ins)})"
-        if self.shadow:
-            return self.shadow_read_expr(op, ins)
-        return f"_mr({self.ea(op)})"
-
-    def istore(self, op, k: int, ins: Instruction, value: str) -> None:
-        if type(op) is Reg:
-            self.emit(f"{self.greg(op.id)} = {value}")
-        elif self.instrumented:
-            self.emit(f"_hw(ctx, {self.ea(op)}, "
-                      f"{self.ins_name(k, ins)}, {value})")
-        elif self.shadow:
-            self.shadow_write(op, ins, value)
-        else:
-            self.emit(f"_mw({self.ea(op)}, {value})")
-
-    def fread(self, op, k: int, ins: Instruction) -> str:
-        if type(op) is Reg:
-            return f"x[{(op.id - XMM_BASE) * 4}]"
-        if self.instrumented:
-            return f"_i2f(_hr(ctx, {self.ea(op)}, {self.ins_name(k, ins)}))"
-        if self.shadow:
-            return f"_i2f({self.shadow_read_expr(op, ins)})"
-        return f"_i2f(_mr({self.ea(op)}))"
-
-    def fstore(self, op, k: int, ins: Instruction, value: str) -> None:
-        if type(op) is Reg:
-            self.emit(f"x[{(op.id - XMM_BASE) * 4}] = {value}")
-        elif self.instrumented:
-            self.emit(f"_hw(ctx, {self.ea(op)}, "
-                      f"{self.ins_name(k, ins)}, _f2i({value}))")
-        elif self.shadow:
-            self.shadow_write(op, ins, f"_f2i({value})")
-        else:
-            self.emit(f"_mw({self.ea(op)}, _f2i({value}))")
-
-    def wrap(self, var: str = "t") -> None:
-        self.emit(f"if {var} > {_I64_MAX} or {var} < {_I64_MIN}:")
-        self.emit(f"    {var} = _s64({var})")
-
-    def set_flags(self, var: str = "t") -> None:
-        self.emit(f"f = 1 if {var} > 0 else (-1 if {var} < 0 else 0)")
-
-    def raise_error(self, message: str) -> None:
+    def spill(self) -> None:
+        """Settle all architectural state before leaving or raising."""
+        for name in self.promoted:
+            self.emit(f"{CELLS[name]} = {name}")
         self.emit("ctx.flags = f")
-        self.emit(f"raise _err({message!r})")
+        if self.charge is not None:
+            # completed iterations == budget - n (n decrements at the
+            # back edge), so the charge folds to two constants per site.
+            pcy, pic = self.prefix
+            per_cy, per_ic, budget = self.charge
+            self.emit(f"ctx.cycles += {pcy + per_cy * budget} - {per_cy}*n")
+            self.emit(f"ctx.instructions += {pic + per_ic * budget}"
+                      f" - {per_ic}*n")
 
-    def addr_of(self, ins: Instruction) -> int:
-        return ins.address if ins.address is not None else 0
+    # -- ops ------------------------------------------------------------------
 
-    # -- linking ------------------------------------------------------------
+    def body(self, ops) -> None:
+        for op in ops:
+            handler = getattr(self, "_" + op.kind)
+            if op.cond is None:
+                handler(op)
+            else:
+                self.emit(f"if {COND_EXPR[op.cond]}:")
+                self.indent += 1
+                handler(op)
+                self.indent -= 1
 
-    def link_slot(self, pc: int) -> int:
-        """Allocate a link slot resolving to ``pc``; returns the slot index.
+    def _set(self, op) -> None:
+        if op.fn == "ea":
+            expr = self.addr(op.args)
+        else:
+            expr = FN[op.fn][0].format(*map(self.val, op.args))
+        dst = self.val(op.dst)
+        self.emit(f"{dst} = {expr}")
+        if op.aux:
+            self.emit(f"if {dst} > {_I64_MAX} or {dst} < {_I64_MIN}:")
+            self.emit(f"    {dst} = _s64({dst})")
+
+    def _access(self, op, write: bool) -> str:
+        """The address of a load/store; emits its record and fault path."""
+        policy = self.policy
+        safe = not policy.inline or aligned(op.args)
+        record = policy.records(op)
+        if safe and not record:
+            return self.addr(op.args)
+        a = self.address(op)
+        if record:
+            policy.record(self, op, a, write)
+        if not safe:
+            self.emit(f"if {a} & 7:")
+            self.indent += 1
+            self.spill()
+            self.emit(policy.fault(a, write))
+            self.indent -= 1
+        return a
+
+    def _load(self, op) -> None:
+        read = self.policy.read(self, op, self._access(op, False))
+        if op.fn == "f":
+            read = f"_uD(_pQ({read}))[0]"
+        self.emit(f"{self.val(op.dst)} = {read}")
+
+    def _store(self, op) -> None:
+        value = self.val(op.args[4])
+        if op.fn == "f":
+            value = f"_uQ(_pD({value}))[0]"
+        self.emit(self.policy.write(self, op, self._access(op, True),
+                                    value))
+
+    def _probe(self, op) -> None:
+        if self.policy.records(op):
+            self.policy.record(self, op, self.address(op), op.fn == "w",
+                               op.args[4])
+
+    def _check(self, op) -> None:
+        self.emit(f"if {op.fn.format(*map(self.val, op.args))}:")
+        self.indent += 1
+        self.spill()
+        self.emit(f"raise _err({op.aux!r})")
+        self.indent -= 1
+
+    def _call(self, op) -> None:
+        self.emit("ctx.flags = f")
+        if op.fn == "sys":
+            self.emit("t = _sys(ctx)")  # -1 (halted) or None
+        elif op.fn == "rt":
+            self.emit("if _in.rtcall_handler is None:")
+            self.emit("    raise _err('RTCALL executed with no runtime "
+                      "attached')")
+            self.emit(f"t = _in.rtcall_handler(ctx, {op.aux[0]}, "
+                      f"{op.aux[1]})")
+            # Runtime handlers may replace the register lists wholesale
+            # (worker merge) and adjust flags: re-hoist the locals.
+            self.emit("g = ctx.gregs")
+            self.emit("x = ctx.fregs")
+        else:
+            self.emit("_st.fallback_instructions += 1")
+            self.emit(f"t = _x(ctx, {self.ins_name(op.ins)})")
+        self.emit("f = ctx.flags")
+        self.emit("if t is not None:")
+        self.emit("    return t")
+
+    def _seg(self, op) -> None:
+        self.prefix = op.aux
+
+    def _exit(self, op) -> None:
+        fn = op.fn
+        if fn == "back" or (fn == "jmp" and self.loop == "trace"
+                            and op.aux == self.block.start):
+            self.back_edge()
+            return
+        if fn == "ret" and op.aux is not None:
+            # Superblock return guard: leave only when the popped address
+            # is not the stitched return site.
+            t = self.val(op.args[0])
+            self.emit(f"if {t} != {op.aux}:")
+            self.indent += 1
+            self.spill()
+            self.halt_if(t)
+            self.emit(f"{self.exit_stat} += 1")
+            self.emit(f"return {t}")
+            self.indent -= 1
+            return
+        self.spill()
+        if fn == "halt":
+            self.emit("ctx.halted = True")
+            self.emit("return -1")
+            return
+        if self.exit_stat is not None:
+            self.emit(f"{self.exit_stat} += 1")
+        if fn == "jmp":
+            self.link_return(op.aux)
+            return
+        t = self.val(op.args[0])
+        if fn == "ret":
+            self.halt_if(t)
+        self.indirect_return(t, resolve_target=fn == "ijmp")
+
+    def halt_if(self, t: str) -> None:
+        """A return to the entry frame's halt sentinel ends the program."""
+        self.emit(f"if {t} == {HALT_ADDRESS}:")
+        self.emit("    ctx.halted = True")
+        self.emit("    return -1")
+
+    def back_edge(self) -> None:
+        """Loop back edge: the budget (and superblock legality) contract
+        point.  Both failures spill and hand the head back to the
+        dispatcher; the decrement precedes them, so their iteration is
+        complete and the charge prefix is zero."""
+        self.prefix = (0, 0)
+        self.emit("n -= 1")
+        self.emit("if n == 0:")
+        self.indent += 1
+        self.spill()
+        self.emit("_sb.bailouts += 1" if self.loop == "super"
+                  else "_st.trace_budget_bailouts += 1")
+        self.emit("return _self")
+        self.indent -= 1
+        if self.loop == "super":
+            self.emit(f"if {self.policy.legality()}:")
+            self.indent += 1
+            self.spill()
+            self.emit("_sb.deopts += 1")
+            self.emit("return _self")
+            self.indent -= 1
+        self.emit("continue")
+
+    # -- linking -------------------------------------------------------------
+
+    def link_return(self, pc: int) -> None:
+        """Return through a link slot resolving to ``pc``.
 
         The first execution through the slot calls ``_lk<i>`` which installs
         either the looked-up compiled Block (linked) or the raw pc
         (unlinked); later executions read the slot directly.
         """
-        index = self.n_slots
-        self.n_slots += 1
+        index = len(self.links)
         links = self.links
         links.append(None)
         lookup = self.lookup
-        if lookup is None:
-            def _lk(ctx, _pc=pc, _links=links, _index=index):
-                _links[_index] = _pc
+        stats = self.stats
+
+        def _lk(ctx, _pc=pc, _index=index):
+            if lookup is None:
+                links[_index] = _pc
                 return _pc
-        else:
-            stats = self.stats
-
-            def _lk(ctx, _pc=pc, _links=links, _index=index,
-                    _lookup=lookup, _stats=stats):
-                blk = _lookup(_pc, ctx)
-                _links[_index] = blk
-                _stats.links_installed += 1
-                return blk
+            blk = links[_index] = lookup(_pc, ctx)
+            stats.links_installed += 1
+            return blk
         self.ns[f"_lk{index}"] = _lk
-        return index
-
-    def emit_link_return(self, pc: int) -> None:
-        index = self.link_slot(pc)
         self.emit(f"nb = _L[{index}]")
         self.emit("if nb is None:")
         self.emit(f"    nb = _lk{index}(ctx)")
         self.emit("return nb")
 
-    def indirect_cache(self, resolve_target: bool) -> int:
-        """One-entry inline cache for an indirect terminator."""
-        index = self.n_caches
-        self.n_caches += 1
+    def indirect_return(self, t: str, resolve_target: bool) -> None:
+        """Return through a one-entry inline cache keyed on target ``t``."""
         cache = [None, None]
-        self.ns[f"_c{index}"] = cache
+        name = self.temp("_c")
+        self.ns[name] = cache
         lookup = self.lookup
         stats = self.stats
         resolve = self.resolve if resolve_target else _identity
@@ -542,686 +673,47 @@ class _BlockCompiler:
             _stats.links_installed += 1
             return blk
 
-        self.ns[f"_ik{index}"] = _ik
-        return index
+        self.ns[f"_ik{name}"] = _ik
+        self.emit(f"if {t} == {name}[0]:")
+        self.emit(f"    return {name}[1]")
+        self.emit(f"return _ik{name}({t}, ctx)")
 
-    def emit_indirect_return(self, resolve_target: bool) -> None:
-        index = self.indirect_cache(resolve_target)
-        self.emit(f"if t == _c{index}[0]:")
-        self.emit(f"    return _c{index}[1]")
-        self.emit(f"return _ik{index}(t, ctx)")
+    # -- assembly -------------------------------------------------------------
 
-    # -- per-opcode statement emission --------------------------------------
-
-    def stmt(self, ins: Instruction, k: int) -> None:  # noqa: C901
-        op = ins.opcode
-        ops = ins.operands
-
-        if op is Opcode.MOV:
-            self.istore(ops[0], k, ins, self.iread(ops[1], k, ins))
-        elif op is Opcode.LEA:
-            self.emit(f"t = {self.ea(ops[1])}")
-            self.wrap()
-            self.emit(f"{self.greg(ops[0].id)} = t")
-        elif op is Opcode.ADD:
-            self.emit(f"t = {self.iread(ops[0], k, ins)}"
-                      f" + {self.iread(ops[1], k, ins)}")
-            self.wrap()
-            self.istore(ops[0], k, ins, "t")
-            self.set_flags()
-        elif op is Opcode.SUB:
-            self.emit(f"t = {self.iread(ops[0], k, ins)}"
-                      f" - {self.iread(ops[1], k, ins)}")
-            self.wrap()
-            self.istore(ops[0], k, ins, "t")
-            self.set_flags()
-        elif op is Opcode.IMUL:
-            self.emit(f"t = {self.iread(ops[0], k, ins)}"
-                      f" * {self.iread(ops[1], k, ins)}")
-            self.wrap()
-            self.istore(ops[0], k, ins, "t")
-            self.set_flags()
-        elif op in (Opcode.IDIV, Opcode.IMOD):
-            self.emit(f"a = {self.iread(ops[0], k, ins)}")
-            self.emit(f"b = {self.iread(ops[1], k, ins)}")
-            self.emit("if b == 0:")
-            self.indent += 1
-            self.raise_error(f"division by zero at {self.addr_of(ins):#x}")
-            self.indent -= 1
-            self.emit("q = abs(a) // abs(b)")
-            self.emit("if (a < 0) != (b < 0):")
-            self.emit("    q = -q")
-            if op is Opcode.IDIV:
-                self.emit("t = q")
-                self.wrap()
-            else:
-                self.emit("t = a - q * b")
-            self.istore(ops[0], k, ins, "t")
-        elif op in (Opcode.AND, Opcode.OR, Opcode.XOR):
-            sym = {Opcode.AND: "&", Opcode.OR: "|", Opcode.XOR: "^"}[op]
-            self.emit(f"t = {self.iread(ops[0], k, ins)}"
-                      f" {sym} {self.iread(ops[1], k, ins)}")
-            self.istore(ops[0], k, ins, "t")
-            self.set_flags()
-        elif op in (Opcode.SHL, Opcode.SHR, Opcode.SAR):
-            # The reference reads the shift amount before the value.
-            if type(ops[1]) is Imm:
-                amount = str(ops[1].value & 63)
-            else:
-                self.emit(f"a = {self.iread(ops[1], k, ins)} & 63")
-                amount = "a"
-            if op is Opcode.SHL:
-                self.emit(f"t = {self.iread(ops[0], k, ins)} << {amount}")
-                self.wrap()
-            elif op is Opcode.SHR:
-                self.emit(f"t = ({self.iread(ops[0], k, ins)} & {_U64})"
-                          f" >> {amount}")
-                self.wrap()
-            else:  # SAR: arithmetic shift, no wrap (matches reference)
-                self.emit(f"t = {self.iread(ops[0], k, ins)} >> {amount}")
-            self.istore(ops[0], k, ins, "t")
-            self.set_flags()
-        elif op is Opcode.INC:
-            self.emit(f"t = {self.iread(ops[0], k, ins)} + 1")
-            self.wrap()
-            self.istore(ops[0], k, ins, "t")
-            self.set_flags()
-        elif op is Opcode.DEC:
-            self.emit(f"t = {self.iread(ops[0], k, ins)} - 1")
-            self.wrap()
-            self.istore(ops[0], k, ins, "t")
-            self.set_flags()
-        elif op is Opcode.NEG:
-            self.emit(f"t = -{self.iread(ops[0], k, ins)}")
-            self.wrap()
-            self.istore(ops[0], k, ins, "t")
-            self.set_flags()
-        elif op is Opcode.NOT:
-            self.emit(f"t = ~{self.iread(ops[0], k, ins)}")
-            self.istore(ops[0], k, ins, "t")
-        elif op is Opcode.CMP:
-            self.emit(f"t = {self.iread(ops[0], k, ins)}"
-                      f" - {self.iread(ops[1], k, ins)}")
-            self.set_flags()
-        elif op is Opcode.TEST:
-            self.emit(f"t = {self.iread(ops[0], k, ins)}"
-                      f" & {self.iread(ops[1], k, ins)}")
-            self.set_flags()
-        elif op in _CMOV:
-            self.emit(f"if {_COND_EXPR[CONDITION_OF[op]]}:")
-            self.indent += 1
-            self.istore(ops[0], k, ins, self.iread(ops[1], k, ins))
-            self.indent -= 1
-        elif op is Opcode.PUSH:
-            # sp moves before the value is read (matches reference order:
-            # a push of rsp or an rsp-relative operand sees the new sp).
-            self.emit(f"sp = {self.greg(STACK_REG)} - 8")
-            self.emit(f"{self.greg(STACK_REG)} = sp")
-            value = self.iread(ops[0], k, ins)
-            if self.stack_guarded:
-                self.emit(f"_wat(ctx, sp, {value})")
-            else:
-                self.emit(f"_mw(sp, {value})")
-        elif op is Opcode.POP:
-            # Store happens before sp moves: a Mem destination's effective
-            # address uses the old sp (matches reference order).
-            self.emit(f"sp = {self.greg(STACK_REG)}")
-            if self.stack_guarded:
-                self.istore(ops[0], k, ins, "_rat(ctx, sp)")
-            else:
-                self.istore(ops[0], k, ins, "_mr(sp)")
-            self.emit(f"{self.greg(STACK_REG)} = sp + 8")
-        # ---- scalar floating point ------------------------------------
-        elif op is Opcode.MOVSD:
-            self.fstore(ops[0], k, ins, self.fread(ops[1], k, ins))
-        elif op in (Opcode.ADDSD, Opcode.SUBSD, Opcode.MULSD):
-            sym = {Opcode.ADDSD: "+", Opcode.SUBSD: "-",
-                   Opcode.MULSD: "*"}[op]
-            self.fstore(ops[0], k, ins,
-                        f"{self.fread(ops[0], k, ins)}"
-                        f" {sym} {self.fread(ops[1], k, ins)}")
-        elif op is Opcode.DIVSD:
-            self.emit(f"d = {self.fread(ops[1], k, ins)}")
-            self.emit("if d == 0.0:")
-            self.indent += 1
-            self.raise_error(
-                f"fp division by zero at {self.addr_of(ins):#x}")
-            self.indent -= 1
-            self.fstore(ops[0], k, ins,
-                        f"{self.fread(ops[0], k, ins)} / d")
-        elif op is Opcode.SQRTSD:
-            self.emit(f"d = {self.fread(ops[1], k, ins)}")
-            self.emit("if d < 0.0:")
-            self.indent += 1
-            self.raise_error(f"sqrt of negative at {self.addr_of(ins):#x}")
-            self.indent -= 1
-            self.fstore(ops[0], k, ins, "_sqrt(d)")
-        elif op is Opcode.MINSD:
-            self.fstore(ops[0], k, ins,
-                        f"min({self.fread(ops[0], k, ins)}, "
-                        f"{self.fread(ops[1], k, ins)})")
-        elif op is Opcode.MAXSD:
-            self.fstore(ops[0], k, ins,
-                        f"max({self.fread(ops[0], k, ins)}, "
-                        f"{self.fread(ops[1], k, ins)})")
-        elif op is Opcode.UCOMISD:
-            self.emit(f"t = {self.fread(ops[0], k, ins)}"
-                      f" - {self.fread(ops[1], k, ins)}")
-            self.set_flags()
-        elif op is Opcode.CVTSI2SD:
-            self.fstore(ops[0], k, ins,
-                        f"float({self.iread(ops[1], k, ins)})")
-        elif op is Opcode.CVTTSD2SI:
-            self.emit(f"t = int({self.fread(ops[1], k, ins)})")
-            self.wrap()
-            self.istore(ops[0], k, ins, "t")
-        elif op is Opcode.XORPD:
-            if ops[0] == ops[1]:
-                base = (ops[0].id - XMM_BASE) * 4
-                self.emit(f"x[{base}:{base + 4}] = _Z4")
-            else:
-                self.emit(f"t = _f2i({self.fread(ops[0], k, ins)})"
-                          f" ^ _f2i({self.fread(ops[1], k, ins)})")
-                self.fstore(ops[0], k, ins, "_i2f(t)")
-        elif op in _PACKED:
-            self.packed(ins, k)
-        # ---- system ---------------------------------------------------
-        elif op is Opcode.SYSCALL:
-            self.emit("ctx.flags = f")
-            self.emit("t = _sys(ctx)")
-            self.emit("f = ctx.flags")
-            self.emit("if t is not None:")
-            self.emit("    return -1")
-        elif op is Opcode.NOP:
-            pass
-        elif op is Opcode.PREFETCH:
-            pass  # hint only; no architectural effect in any tier
-        elif op is Opcode.RTCALL:
-            hid = ops[0].value
-            arg = ops[1].value if len(ops) > 1 else 0
-            self.emit("ctx.flags = f")
-            self.emit(f"t = _rt(ctx, {hid}, {arg})")
-            # Runtime handlers may replace the register lists wholesale
-            # (worker merge) and adjust flags: re-hoist the locals.
-            self.emit("g = ctx.gregs")
-            self.emit("x = ctx.fregs")
-            self.emit("f = ctx.flags")
-            self.emit("if t is not None:")
-            self.emit("    return t")
-        else:
-            # No template: reference per-instruction fallback (cold path).
-            name = self.ins_name(k, ins)
-            self.emit("ctx.flags = f")
-            self.emit("_st.fallback_instructions += 1")
-            self.emit(f"t = _x(ctx, {name})")
-            self.emit("f = ctx.flags")
-            self.emit("if t is not None:")
-            self.emit("    return t")
-
-    def packed(self, ins: Instruction, k: int) -> None:
-        op = ins.opcode
-        lanes = ins.lanes
-        dst, src = ins.operands
-        is_move = op in (Opcode.MOVAPD, Opcode.VMOVAPD)
-        if is_move and type(dst) is Reg and type(src) is Reg:
-            dbase = (dst.id - XMM_BASE) * 4
-            sbase = (src.id - XMM_BASE) * 4
-            self.emit(f"x[{dbase}:{dbase + lanes}] = "
-                      f"x[{sbase}:{sbase + lanes}]")
-            return
-        # Load the source lanes into temporaries.
-        if type(src) is Reg:
-            sbase = (src.id - XMM_BASE) * 4
-            for lane in range(lanes):
-                self.emit(f"s{lane} = x[{sbase + lane}]")
-        else:
-            self.emit(f"a = {self.ea(src)}")
-            if self.instrumented:
-                name = self.ins_name(k, ins)
-                self.emit(f"_ph(ctx, a, {name}, False, {lanes})")
-                for lane in range(lanes):
-                    offset = f" + {8 * lane}" if lane else ""
-                    self.emit(f"s{lane} = _i2f(_rat(ctx, a{offset}))")
-            elif self.shadow:
-                summarised = self.addr_of(ins) in self.summarised
-                if self.shadow_dynamic:
-                    if not summarised:
-                        self.emit(f"_sp(ctx, a, {lanes}, False)")
-                    for lane in range(lanes):
-                        offset = f" + {8 * lane}" if lane else ""
-                        self.emit(f"s{lane} = _i2f(_rat(ctx, a{offset}))")
-                else:
-                    if not summarised:
-                        self.emit_record("a", f"_pre((a, {lanes}))")
-                    for lane in range(lanes):
-                        offset = f" + {8 * lane}" if lane else ""
-                        self.emit(f"s{lane} = _i2f(_mr(a{offset}))")
-            else:
-                for lane in range(lanes):
-                    offset = f" + {8 * lane}" if lane else ""
-                    self.emit(f"s{lane} = _i2f(_mr(a{offset}))")
-        if is_move:
-            results = [f"s{lane}" for lane in range(lanes)]
-        else:
-            # RMW packed ops always have a register destination.
-            sym = {Opcode.ADDPD: "+", Opcode.VADDPD: "+",
-                   Opcode.SUBPD: "-", Opcode.VSUBPD: "-",
-                   Opcode.MULPD: "*", Opcode.VMULPD: "*",
-                   Opcode.DIVPD: "/", Opcode.VDIVPD: "/"}[op]
-            dbase = (dst.id - XMM_BASE) * 4
-            if sym == "/":
-                check = " or ".join(f"s{lane} == 0.0"
-                                    for lane in range(lanes))
-                self.emit(f"if {check}:")
-                self.indent += 1
-                self.raise_error(
-                    f"fp division by zero at {self.addr_of(ins):#x}")
-                self.indent -= 1
-            results = [f"x[{dbase + lane}] {sym} s{lane}"
-                       for lane in range(lanes)]
-        if type(dst) is Reg:
-            dbase = (dst.id - XMM_BASE) * 4
-            for lane in range(lanes):
-                self.emit(f"x[{dbase + lane}] = {results[lane]}")
-        else:
-            self.emit(f"a2 = {self.ea(dst)}")
-            if self.instrumented:
-                name = self.ins_name(k, ins)
-                self.emit(f"_ph(ctx, a2, {name}, True, {lanes})")
-                for lane in range(lanes):
-                    offset = f" + {8 * lane}" if lane else ""
-                    self.emit(
-                        f"_wat(ctx, a2{offset}, _f2i({results[lane]}))")
-            elif self.shadow:
-                summarised = self.addr_of(ins) in self.summarised
-                if self.shadow_dynamic:
-                    if not summarised:
-                        self.emit(f"_sp(ctx, a2, {lanes}, True)")
-                    for lane in range(lanes):
-                        offset = f" + {8 * lane}" if lane else ""
-                        self.emit(
-                            f"_wat(ctx, a2{offset}, _f2i({results[lane]}))")
-                else:
-                    if not summarised:
-                        self.emit_record("a2", f"_pwe((a2, {lanes}))")
-                    for lane in range(lanes):
-                        offset = f" + {8 * lane}" if lane else ""
-                        self.emit(f"_mw(a2{offset}, _f2i({results[lane]}))")
-            else:
-                for lane in range(lanes):
-                    offset = f" + {8 * lane}" if lane else ""
-                    self.emit(f"_mw(a2{offset}, _f2i({results[lane]}))")
-
-    # -- terminators ---------------------------------------------------------
-
-    def terminator(self, ins: Instruction, k: int, trace: bool) -> None:
-        op = ins.opcode
-        ops = ins.operands
-
-        if op in _JCC:
-            cond = _COND_EXPR[CONDITION_OF[op]]
-            taken = self.resolve(ops[0].value)
-            if trace:
-                # Taken edge loops back to the block entry: spin in place,
-                # bail to the dispatcher when the budget runs out.
-                self.emit(f"if {cond}:")
-                self.emit("    n -= 1")
-                self.emit("    if n == 0:")
-                self.emit("        ctx.flags = f")
-                self.emit("        _st.trace_budget_bailouts += 1")
-                self.emit("        return _self")
-                self.emit("    continue")
-                self.emit("ctx.flags = f")
-                self.emit("_st.trace_exits += 1")
-                self.emit_link_return(self.block.end)
-                return
-            self.emit("ctx.flags = f")
-            self.emit(f"if {cond}:")
-            self.indent += 1
-            self.emit_link_return(taken)
-            self.indent -= 1
-            self.emit_link_return(self.block.end)
-        elif op is Opcode.JMP:
-            if trace:
-                self.emit("n -= 1")
-                self.emit("if n == 0:")
-                self.emit("    ctx.flags = f")
-                self.emit("    _st.trace_budget_bailouts += 1")
-                self.emit("    return _self")
-                return
-            self.emit("ctx.flags = f")
-            self.emit_link_return(self.resolve(ops[0].value))
-        elif op is Opcode.CALL:
-            self.emit(f"sp = {self.greg(STACK_REG)} - 8")
-            self.emit(f"{self.greg(STACK_REG)} = sp")
-            ret_addr = ins.address + ins.size
-            if self.stack_guarded:
-                self.emit(f"_wat(ctx, sp, {ret_addr})")
-            else:
-                self.emit(f"_mw(sp, {ret_addr})")
-            self.emit("ctx.flags = f")
-            self.emit_link_return(self.resolve(ops[0].value))
-        elif op is Opcode.CALLI:
-            # Target read precedes the push (matches reference order).
-            self.emit(f"t = {self.iread(ops[0], k, ins)}")
-            self.emit(f"sp = {self.greg(STACK_REG)} - 8")
-            self.emit(f"{self.greg(STACK_REG)} = sp")
-            ret_addr = ins.address + ins.size
-            if self.stack_guarded:
-                self.emit(f"_wat(ctx, sp, {ret_addr})")
-            else:
-                self.emit(f"_mw(sp, {ret_addr})")
-            self.emit("ctx.flags = f")
-            self.emit_indirect_return(resolve_target=True)
-        elif op is Opcode.JMPI:
-            self.emit(f"t = {self.iread(ops[0], k, ins)}")
-            self.emit("ctx.flags = f")
-            self.emit_indirect_return(resolve_target=True)
-        elif op is Opcode.RET:
-            self.emit(f"sp = {self.greg(STACK_REG)}")
-            if self.stack_guarded:
-                self.emit("t = _rat(ctx, sp)")
-            else:
-                self.emit("t = _mr(sp)")
-            self.emit(f"{self.greg(STACK_REG)} = sp + 8")
-            self.emit("ctx.flags = f")
-            self.emit(f"if t == {HALT_ADDRESS}:")
-            self.emit("    ctx.halted = True")
-            self.emit("    return -1")
-            self.emit_indirect_return(resolve_target=False)
-        elif op is Opcode.HLT:
-            self.emit("ctx.flags = f")
-            self.emit("ctx.halted = True")
-            self.emit("return -1")
-        else:  # pragma: no cover - discover_block only ends at controls
-            self.stmt(ins, k)
-            self.emit("ctx.flags = f")
-            self.emit_link_return(self.block.end)
-
-    # -- assembly ------------------------------------------------------------
-
-    def traceable(self, term: Instruction) -> bool:
+    def traceable(self) -> bool:
         """A self-looping block may spin inside its own compiled function.
 
-        Requires the fast or shadow variant with a dispatcher lookup
-        (links legal at all), and no SYSCALL/RTCALL in the block: those
-        can install hooks, open transactions or halt, which must re-enter
-        the dispatcher's per-block legality check.  (A shadow trace needs
-        no extra back-edge check: with no RTCALL inside, neither the sink
-        nor the transaction state can change mid-trace.)
+        Requires a policy that may loop, a dispatcher lookup (links legal
+        at all), and no SYSCALL/RTCALL in the block: those can install
+        hooks, open transactions or halt, which must re-enter the
+        dispatcher's per-block legality check.  (A shadow trace needs no
+        extra back-edge check: with no RTCALL inside, neither the sink nor
+        the transaction state can change mid-trace.)
         """
-        if self.lookup is None or self.instrumented:
+        block = self.block
+        if self.lookup is None or not self.policy.traces:
             return False
-        for ins in self.block.instructions:
-            if ins.opcode in (Opcode.SYSCALL, Opcode.RTCALL):
-                return False
-        op = term.opcode
-        if op in _JCC or op is Opcode.JMP:
-            return self.resolve(term.operands[0].value) == self.block.start
+        if any(ins.opcode in BARRIER_OPCODES for ins in block.instructions):
+            return False
+        term = block.terminator
+        if term.opcode in JCC or term.opcode is Opcode.JMP:
+            return self.resolve(term.operands[0].value) == block.start
         return False
 
-    def build(self):
-        block = self.block
-        instructions = block.instructions
-        term = instructions[-1]
-        trace = self.traceable(term)
-        fname = f"_jx_{block.start:x}"
-        head = [
-            f"def {fname}(ctx):",
-            "    g = ctx.gregs",
-            "    x = ctx.fregs",
-            "    f = ctx.flags",
-        ]
-        if trace:
-            # The dispatcher counts entries to self-loop heads toward
-            # superblock promotion (repro.dbm.superblock).
-            block.is_self_loop = True
-            head.append("    _st.trace_entries += 1")
-            head.append(f"    n = {self.interp.trace_budget}")
-            head.append("    while True:")
-            self.ns["_self"] = block
-            self.indent = 2
-        self.emit(f"ctx.cycles += {block.cost}")
-        self.emit(f"ctx.instructions += {len(instructions)}")
-        for k, ins in enumerate(instructions[:-1]):
-            self.stmt(ins, k)
-        k = len(instructions) - 1
-        if term.is_control:
-            self.terminator(term, k, trace)
-        else:
-            self.stmt(term, k)
-            self.emit("ctx.flags = f")
-            self.emit_link_return(block.end)
-        if self.n_slots:
+    def finish(self, fname: str, label: str, head: list[str], ops):
+        # ``ops`` re-derives the op list for ``repro jit-dump``: holding
+        # every list costs a few KB per runner for the code cache's life.
+        if self.links:
             self.ns["_L"] = self.links
-        source = "\n".join(head + self.lines) + "\n"
-        if self.instrumented:
-            variant = "inst"
-        elif self.shadow:
-            variant = "shadow"
-        else:
-            variant = "fast"
-        code = compile(source, f"<jit {variant} {block.start:#x}>", "exec")
+        source = "\n".join([f"def {fname}(ctx):"]
+                           + ["    " + line for line in head]
+                           + self.lines) + "\n"
+        code = compile(source, f"<jit {label} {self.block.start:#x}>",
+                       "exec")
         exec(code, self.ns)
         fn = self.ns[fname]
         fn.__jit_source__ = source
-        if self.shadow:
-            fn.__shadow_dynamic__ = self.shadow_dynamic
+        fn.__jit_ops__ = ops
+        for name, value in self.policy.attributes.items():
+            setattr(fn, name, value)
         return fn
-
-
-# ---------------------------------------------------------------------------
-# Legacy closure-list compiler (seed unlinked JIT).
-#
-# Retained as the benchmark baseline: bench_interp_throughput.py measures the
-# linked trace tier above against this per-instruction closure form.
-# ---------------------------------------------------------------------------
-
-_COND = {
-    "e": lambda f: f == 0,
-    "ne": lambda f: f != 0,
-    "l": lambda f: f < 0,
-    "le": lambda f: f <= 0,
-    "g": lambda f: f > 0,
-    "ge": lambda f: f >= 0,
-}
-
-
-def _sign(value) -> int:
-    return 1 if value > 0 else (-1 if value < 0 else 0)
-
-
-def _ea_fn(mem: Mem):
-    """Specialised effective-address computation."""
-    base, index, scale, disp = mem.base, mem.index, mem.scale, mem.disp
-    if base is None and index is None:
-        return lambda gregs: disp
-    if index is None:
-        return lambda gregs: gregs[base] + disp
-    if base is None:
-        return lambda gregs: gregs[index] * scale + disp
-    return lambda gregs: gregs[base] + gregs[index] * scale + disp
-
-
-def _int_read_fn(op, memory):
-    """value(ctx) for an integer-valued operand."""
-    if type(op) is Reg:
-        rid = op.id
-        return lambda ctx: ctx.gregs[rid]
-    if type(op) is Imm:
-        value = op.value
-        return lambda ctx: value
-    ea = _ea_fn(op)
-    read = memory.read
-    return lambda ctx: read(ea(ctx.gregs))
-
-
-def _int_write_fn(op, memory):
-    """store(ctx, value) for an integer destination."""
-    if type(op) is Reg:
-        rid = op.id
-        def store(ctx, value, _rid=rid):
-            ctx.gregs[_rid] = value
-        return store
-    ea = _ea_fn(op)
-    write = memory.write
-    return lambda ctx, value: write(ea(ctx.gregs), value)
-
-
-def _f64_read_fn(op, memory):
-    if type(op) is Reg:
-        lane = (op.id - XMM_BASE) * 4
-        return lambda ctx: ctx.fregs[lane]
-    ea = _ea_fn(op)
-    read = memory.read
-    return lambda ctx: i64_to_f64(read(ea(ctx.gregs)))
-
-
-def _f64_write_fn(op, memory):
-    if type(op) is Reg:
-        lane = (op.id - XMM_BASE) * 4
-        def store(ctx, value, _lane=lane):
-            ctx.fregs[_lane] = value
-        return store
-    ea = _ea_fn(op)
-    write = memory.write
-    return lambda ctx, value: write(ea(ctx.gregs), f64_to_i64(value))
-
-
-def compile_block(block, interp) -> list:
-    """Compile a block's instructions into closures bound to ``interp``.
-
-    Each closure takes the thread context and returns ``None`` to continue,
-    a program counter to transfer to, or -1 to halt.
-    """
-    memory = interp.machine.memory
-    compiled = []
-    for ins in block.instructions:
-        fn = _compile_instruction(ins, interp, memory)
-        compiled.append(fn)
-    return compiled
-
-
-def _compile_instruction(ins: Instruction, interp, memory):  # noqa: C901
-    op = ins.opcode
-    ops = ins.operands
-
-    if op is Opcode.MOV:
-        src = _int_read_fn(ops[1], memory)
-        dst = _int_write_fn(ops[0], memory)
-        def mov(ctx, src=src, dst=dst):
-            dst(ctx, src(ctx))
-        return mov
-
-    if op in (Opcode.ADD, Opcode.SUB):
-        negate = op is Opcode.SUB
-        src = _int_read_fn(ops[1], memory)
-        cur = _int_read_fn(ops[0], memory)
-        dst = _int_write_fn(ops[0], memory)
-        def addsub(ctx, src=src, cur=cur, dst=dst, negate=negate):
-            result = cur(ctx) - src(ctx) if negate else cur(ctx) + src(ctx)
-            if result > _I64_MAX or result < _I64_MIN:
-                result = s64(result)
-            dst(ctx, result)
-            ctx.flags = 1 if result > 0 else (-1 if result < 0 else 0)
-        return addsub
-
-    if op is Opcode.CMP:
-        lhs = _int_read_fn(ops[0], memory)
-        rhs = _int_read_fn(ops[1], memory)
-        def cmp(ctx, lhs=lhs, rhs=rhs):
-            diff = lhs(ctx) - rhs(ctx)
-            ctx.flags = 1 if diff > 0 else (-1 if diff < 0 else 0)
-        return cmp
-
-    if ins.is_cond_branch:
-        check = _COND[CONDITION_OF[op]]
-        target = interp.process.resolve_target(ops[0].value) \
-            if interp.process else ops[0].value
-        def jcc(ctx, check=check, target=target):
-            if check(ctx.flags):
-                return target
-            return None
-        return jcc
-
-    if op is Opcode.JMP:
-        target = interp.process.resolve_target(ops[0].value) \
-            if interp.process else ops[0].value
-        return lambda ctx, target=target: target
-
-    if op is Opcode.INC or op is Opcode.DEC:
-        delta = 1 if op is Opcode.INC else -1
-        cur = _int_read_fn(ops[0], memory)
-        dst = _int_write_fn(ops[0], memory)
-        def incdec(ctx, cur=cur, dst=dst, delta=delta):
-            result = cur(ctx) + delta
-            if result > _I64_MAX or result < _I64_MIN:
-                result = s64(result)
-            dst(ctx, result)
-            ctx.flags = 1 if result > 0 else (-1 if result < 0 else 0)
-        return incdec
-
-    if op is Opcode.IMUL:
-        src = _int_read_fn(ops[1], memory)
-        cur = _int_read_fn(ops[0], memory)
-        dst = _int_write_fn(ops[0], memory)
-        def imul(ctx, src=src, cur=cur, dst=dst):
-            result = cur(ctx) * src(ctx)
-            if result > _I64_MAX or result < _I64_MIN:
-                result = s64(result)
-            dst(ctx, result)
-            ctx.flags = 1 if result > 0 else (-1 if result < 0 else 0)
-        return imul
-
-    if op is Opcode.LEA:
-        ea = _ea_fn(ops[1])
-        rid = ops[0].id
-        def lea(ctx, ea=ea, rid=rid):
-            ctx.gregs[rid] = s64(ea(ctx.gregs))
-        return lea
-
-    if op is Opcode.MOVSD:
-        src = _f64_read_fn(ops[1], memory)
-        dst = _f64_write_fn(ops[0], memory)
-        def movsd(ctx, src=src, dst=dst):
-            dst(ctx, src(ctx))
-        return movsd
-
-    if op in (Opcode.ADDSD, Opcode.SUBSD, Opcode.MULSD):
-        src = _f64_read_fn(ops[1], memory)
-        cur = _f64_read_fn(ops[0], memory)
-        dst = _f64_write_fn(ops[0], memory)
-        if op is Opcode.ADDSD:
-            return lambda ctx, s=src, c=cur, d=dst: d(ctx, c(ctx) + s(ctx))
-        if op is Opcode.SUBSD:
-            return lambda ctx, s=src, c=cur, d=dst: d(ctx, c(ctx) - s(ctx))
-        return lambda ctx, s=src, c=cur, d=dst: d(ctx, c(ctx) * s(ctx))
-
-    if op is Opcode.CALL:
-        target = interp.process.resolve_target(ops[0].value) \
-            if interp.process else ops[0].value
-        return_address = ins.address + ins.size
-        write = memory.write
-        def call(ctx, target=target, return_address=return_address,
-                 write=write):
-            sp = ctx.gregs[STACK_REG] - 8
-            ctx.gregs[STACK_REG] = sp
-            write(sp, return_address)
-            return target
-        return call
-
-    if op is Opcode.RET:
-        read = memory.read
-        def ret(ctx, read=read):
-            sp = ctx.gregs[STACK_REG]
-            target = read(sp)
-            ctx.gregs[STACK_REG] = sp + 8
-            if target == HALT_ADDRESS:
-                ctx.halted = True
-                return -1
-            return target
-        return ret
-
-    # Anything else: fall back to the reference interpreter.
-    exec_ref = interp._exec
-    return lambda ctx, exec_ref=exec_ref, ins=ins: exec_ref(ctx, ins)

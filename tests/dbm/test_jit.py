@@ -40,7 +40,8 @@ def run_with_path(process, mode: str = "fast", record_hook: bool = False):
     (per-instruction reference dispatch) or ``"superblock"`` (the full
     trace-cache dispatcher with instant hot-loop promotion); with
     ``record_hook`` a recording memory hook is installed, which routes
-    compiled execution through the instrumented variant.
+    compiled execution through the instrumented variant.  Returns
+    ``(ctx, machine, hook_log, interp)``.
     """
     machine = Machine()
     machine.memory.load_words(process.initial_data())
@@ -67,7 +68,7 @@ def run_with_path(process, mode: str = "fast", record_hook: bool = False):
             return block
 
         run_loop(interp, ctx, ctx.pc, lookup)
-        return ctx, machine, log
+        return ctx, machine, log, interp
     pc = ctx.pc
     steps = 0
     while pc is not None:
@@ -77,7 +78,7 @@ def run_with_path(process, mode: str = "fast", record_hook: bool = False):
         pc = interp.execute_block(ctx, block)
         steps += 1
         assert steps < 3_000_000
-    return ctx, machine, log
+    return ctx, machine, log, interp
 
 
 def _bits(value):
@@ -106,12 +107,12 @@ def assert_equivalent(build_process):
     ``build_process`` is a zero-argument factory (each tier needs a fresh
     process/machine).
     """
-    ref_ctx, ref_machine, _ = run_with_path(build_process(), "reference")
-    fast_ctx, fast_machine, _ = run_with_path(build_process(), "fast")
-    sb_ctx, sb_machine, _ = run_with_path(build_process(), "superblock")
-    href_ctx, href_machine, href_log = run_with_path(
+    ref_ctx, ref_machine, _, _ = run_with_path(build_process(), "reference")
+    fast_ctx, fast_machine, _, fast = run_with_path(build_process(), "fast")
+    sb_ctx, sb_machine, _, sb = run_with_path(build_process(), "superblock")
+    href_ctx, href_machine, href_log, _ = run_with_path(
         build_process(), "reference", record_hook=True)
-    inst_ctx, inst_machine, inst_log = run_with_path(
+    inst_ctx, inst_machine, inst_log, inst = run_with_path(
         build_process(), "fast", record_hook=True)
     reference = _state(ref_ctx, ref_machine)
     assert _state(fast_ctx, fast_machine) == reference
@@ -119,6 +120,10 @@ def assert_equivalent(build_process):
     assert _state(href_ctx, href_machine) == reference
     assert _state(inst_ctx, inst_machine) == reference
     assert inst_log == href_log
+    # An opcode the lowering missed would fall back to the reference
+    # ``_exec`` and still match: every compiled path must lower it all.
+    for interp in (fast, sb, inst):
+        assert interp.jit_stats.fallback_instructions == 0
 
 
 # ---------------------------------------------------------------------------
@@ -658,8 +663,8 @@ def test_superblock_differential_random_branchy_cfg(seed):
     rng = random.Random(seed)
     source = _random_branchy_source(rng)
     image = compile_source(source, CompileOptions(opt_level=3))
-    ref_ctx, ref_machine, _ = run_with_path(load(image), "reference")
-    sb_ctx, sb_machine, _ = run_with_path(load(image), "superblock")
+    ref_ctx, ref_machine, _, _ = run_with_path(load(image), "reference")
+    sb_ctx, sb_machine, _, _ = run_with_path(load(image), "superblock")
     assert _state(sb_ctx, sb_machine) == _state(ref_ctx, ref_machine)
 
 

@@ -9,7 +9,10 @@ Every way control can leave a superblock is forced at least once here:
 * **legality deopt** — a memory hook is installed between warm-up and the
   next superblock entry, so the back-edge legality re-check must spill and
   hand the head back to the dispatcher
-  (``test_hook_installation_deopts``).
+  (``test_hook_installation_deopts``);
+* **memory fault** — a load whose address is not provably 8-aligned turns
+  misaligned mid-loop, so the ``MemoryFault`` must leave only after the
+  spill (``test_memory_fault_spills_state``).
 
 Each exit restores full architectural state; the tests compare against a
 superblocks-disabled twin (or a reference-interpreter twin) bit for bit,
@@ -18,13 +21,16 @@ including cycle and instruction accounting.
 
 import struct
 
+import pytest
+
 from repro.dbm.blocks import discover_block
 from repro.dbm.executor import run_native
 from repro.dbm.interp import Interpreter
 from repro.dbm.machine import Machine, make_main_context
+from repro.dbm.memory import MemoryFault
 from repro.dbm.modifier import JanusDBM
 from repro.isa import Imm, Opcode as O, Reg
-from repro.isa.operands import Label
+from repro.isa.operands import Label, Mem
 from repro.isa.registers import R, reg_id
 from repro.jbin.asm import Assembler
 from repro.jbin.loader import load
@@ -58,8 +64,13 @@ def _image(condition: str):
                           CompileOptions(opt_level=3))
 
 
-def _run(image, threshold=1, budget=None, enabled=True, inputs=None):
-    """Run under the trace-cache dispatcher with superblock knobs."""
+def _run(image, threshold=1, budget=None, enabled=True, inputs=None,
+         raises=None):
+    """Run under the trace-cache dispatcher with superblock knobs.
+
+    With ``raises`` the run must end in that exception; the state it left
+    is returned all the same.
+    """
     from repro.dbm.tracecache import run_loop
 
     process = load(image, inputs=inputs)
@@ -80,7 +91,11 @@ def _run(image, threshold=1, budget=None, enabled=True, inputs=None):
             block = cache[pc] = discover_block(process, pc)
         return block
 
-    run_loop(interp, ctx, ctx.pc, lookup)
+    if raises is None:
+        run_loop(interp, ctx, ctx.pc, lookup)
+    else:
+        with pytest.raises(raises):
+            run_loop(interp, ctx, ctx.pc, lookup)
     return ctx, machine, interp, cache
 
 
@@ -149,6 +164,34 @@ def test_guard_side_exits():
     stats = _assert_matches_disabled(_image("i < 192"), threshold=1)
     assert stats.formed >= 1
     assert stats.side_exits >= 40  # at least one per outer rep
+
+
+def test_guard_exit_to_the_head_leaves_the_superblock():
+    """A guard whose exit target is the loop head is a side exit too.
+
+    Every eighth iteration the middle block branches straight back to the
+    head, skipping the last block: that short iteration must leave through
+    the guard (and be charged as such), not spin as a full iteration.
+    """
+    a = Assembler()
+    a.label("_start")
+    a.emit(O.MOV, Reg(R.rcx), Imm(0))
+    a.emit(O.MOV, Reg(R.rax), Imm(0))
+    a.label("head")
+    a.emit(O.INC, Reg(R.rcx))
+    a.emit(O.CMP, Reg(R.rcx), Imm(1000))
+    a.emit(O.JGE, Label("done"))
+    a.emit(O.MOV, Reg(R.rdx), Reg(R.rcx))
+    a.emit(O.AND, Reg(R.rdx), Imm(7))
+    a.emit(O.CMP, Reg(R.rdx), Imm(0))
+    a.emit(O.JE, Label("head"))           # biased not-taken: the guard
+    a.emit(O.ADD, Reg(R.rax), Reg(R.rcx))
+    a.emit(O.JMP, Label("head"))
+    a.label("done")
+    a.emit(O.HLT)
+    stats = _assert_matches_disabled(a.assemble(entry="_start"), threshold=2)
+    assert stats.formed == 1
+    assert stats.side_exits >= 100
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +296,58 @@ def test_hook_installation_deopts():
     assert ctx.flags == ctx2.flags
     assert ctx.cycles == ctx2.cycles
     assert ctx.instructions == ctx2.instructions
+
+
+# ---------------------------------------------------------------------------
+# Exit kind 4: a memory fault inside the superblock
+# ---------------------------------------------------------------------------
+
+def _misaligning_loop_image():
+    """A two-block loop whose load address turns misaligned at rcx == 32.
+
+    The load's base register is computed (``rsi = rcx >> 5``), so its
+    alignment is not provable and the superblock reads through the
+    checked fault path; the shift writes the flags just before the load,
+    so stale flags would show too.
+    """
+    a = Assembler()
+    a.label("_start")
+    a.emit(O.MOV, Reg(R.rcx), Imm(0))
+    a.emit(O.MOV, Reg(R.rax), Imm(0))
+    a.label("loop")
+    a.emit(O.MOV, Reg(R.rsi), Reg(R.rcx))
+    a.emit(O.SHR, Reg(R.rsi), Imm(5))
+    a.emit(O.MOV, Reg(R.rdx), Mem(base=R.rsi, disp=0x10000000))
+    a.emit(O.ADD, Reg(R.rax), Reg(R.rdx))
+    a.emit(O.CMP, Reg(R.rax), Imm(1000000))
+    a.emit(O.JG, Label("escape"))        # never taken: the guarded exit
+    a.emit(O.INC, Reg(R.rcx))
+    a.emit(O.CMP, Reg(R.rcx), Imm(100))
+    a.emit(O.JL, Label("loop"))          # the back edge
+    a.label("escape")
+    a.emit(O.HLT)
+    return a.assemble(entry="_start")
+
+
+def test_memory_fault_spills_state():
+    """A fault raised inside a superblock leaves the block tier's state.
+
+    The superblock forms after two back edges and faults 30 iterations
+    later; promoted registers, flags and the exit-timed charge must all
+    be settled before the ``MemoryFault`` leaves it.
+    """
+    image = _misaligning_loop_image()
+    ctx, _machine, interp, _cache = _run(image, threshold=2,
+                                         raises=MemoryFault)
+    ref, _ref_machine, _ri, _rc = _run(image, enabled=False,
+                                       raises=MemoryFault)
+    assert interp.sb_stats.formed == 1
+    assert interp.sb_stats.entries == 1
+    assert ref.gregs[R.rcx] == 32
+    assert list(ctx.gregs) == list(ref.gregs)
+    assert ctx.flags == ref.flags
+    assert ctx.cycles == ref.cycles
+    assert ctx.instructions == ref.instructions
 
 
 # ---------------------------------------------------------------------------

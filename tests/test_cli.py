@@ -145,6 +145,14 @@ def test_jit_dump_command(capsys):
     assert "[superblock]" in captured.out
     assert "def _jsb_" in captured.out
     assert "compiled runners printed" in captured.err
+    # Each runner prints its op list, as comments, above its source.
+    for section in ("\n" + captured.out).split("\n-- ")[1:]:
+        lines = section.split("\n")[1:]
+        start = next(i for i, line in enumerate(lines)
+                     if line.startswith("def _j"))
+        assert start > 0
+        assert all(line.startswith("# ") for line in lines[:start])
+    assert "= load.f(" in captured.out and "# exit.jmp(" in captured.out
 
     # --pc narrows the dump to one block (here: the superblock head).
     head = next(line.split()[1] for line in captured.out.splitlines()
