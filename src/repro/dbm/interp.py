@@ -58,6 +58,14 @@ class Interpreter:
         self.process = process
         # Hook invoked for RTCALL pseudo-instructions: f(ctx, hid, arg) -> pc|None
         self.rtcall_handler = None
+        # ctx.instructions at the entry of the block whose RTCALL is
+        # running (blocks charge their instructions at entry); set just
+        # before the handler is called.
+        self.rtcall_entry = 0
+        # The training profiler (repro.profiling.profiler.Profiler) when
+        # one is attached: the JIT tiers lower its PROF_MEM and
+        # PROF_LOOP_ITER RTCALLs inline (repro.dbm.jitir.profiled_inline).
+        self.profiler = None
         # Optional memory-profiling hook: f(ctx, ins, addr, is_write, lanes)
         self.mem_hook = None
         # Active software transaction for the currently executing thread.
@@ -204,6 +212,7 @@ class Interpreter:
         ``force_reference``.
         """
         ctx.cycles += block.cost
+        self.rtcall_entry = ctx.instructions
         ctx.instructions += len(block.instructions)
         for ins in block.instructions:
             transfer = self._exec(ctx, ins)

@@ -21,7 +21,7 @@ The runner variants differ *only* in how memory accesses are lowered --
 one memory policy per runner, chosen once by :func:`select_policy`:
 
 * **fast** (:class:`_Fast`) -- no instrumentation (no ``mem_hook``, no
-  open transaction, no block listeners): words go through the checked
+  open transaction): words go through the checked
   ``Memory.read``/``write``, or in a superblock straight through the
   memory dict's C-level methods.  Fast runners *link*: a terminator
   resolves its successor's compiled :class:`~repro.dbm.blocks.Block` once
@@ -33,7 +33,8 @@ one memory policy per runner, chosen once by :func:`select_policy`:
 * **instrumented** (:class:`_Instrumented`) -- ``mem_hook`` and the
   active transaction are threaded through every memory access
   *dynamically* (checked per access, exactly like the reference
-  ``_exec``), so profiling and STM worker runs also execute compiled code.
+  ``_exec``), so verify-oracle and STM worker runs also execute compiled
+  code.
 * **static shadow** (:class:`_StaticShadow`; selected when
   ``interp.shadow_sink`` is installed) -- fast access and linking, plus
   shadow events for the parallel runtime: the worker's stack/TLS filter
@@ -45,6 +46,15 @@ one memory policy per runner, chosen once by :func:`select_policy`:
   RTCALL/SYSCALL, which can close the STM window mid-block: the open
   transaction is re-checked per access; the dispatcher keys on
   ``__shadow_dynamic__``.
+* **window** (:class:`_Window`; selected when the shadow sink is a
+  :class:`~repro.dbm.shadow.WindowLog`) -- a training run inside an
+  external call's profiling window: fast access plus every access, in
+  order, appended to the log.
+
+With a training profiler attached (``interp.profiler``) every policy
+lowers its PROF_MEM and PROF_LOOP_ITER sites inline (``event``/``iter``
+ops), and such sites do not end traces or superblocks.  Code objects are
+cached per process by source (:func:`code_object`).
 
 Indirect terminators (``ret``/``jmpi``/``calli``) keep a one-entry inline
 cache mapping the last raw target to its compiled block -- DynamoRIO's
@@ -60,15 +70,17 @@ to the reference ``_exec`` per instruction and are counted in
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from functools import partial
 
 from repro.isa.instructions import Opcode
 from repro.jbin import layout
-from repro.dbm.jitir import (BARRIER_OPCODES, COND_EXPR, FN, GPR, JCC, LANE,
-                             aligned, lower_block)
+from repro.dbm.jitir import (COND_EXPR, FN, GPR, JCC, LANE, aligned,
+                             is_barrier, lower_block)
 from repro.dbm.machine import HALT_ADDRESS
 from repro.dbm.memory import (_PACK_D, _PACK_Q, _UNPACK_D, _UNPACK_Q,
                               MemoryFault, s64)
+from repro.dbm.shadow import WindowLog
 from repro.telemetry.core import RegistryView
 
 _I64_MAX = 9223372036854775807
@@ -104,15 +116,37 @@ def _identity(value: int) -> int:
     return value
 
 
+# Compiled runner code by (source, filename), shared by every interpreter
+# in the process: verify, modediff and the figure cells re-translate the
+# same blocks, and ``compile()`` is the dear part of a translation.  Each
+# hit is ``exec``-ed into the runner's own fresh namespace, so link slots
+# and inline caches stay per runner.  A fixed bound, not a setting: daemon
+# and pool workers live long, and the least recently used code goes first.
+CODE_CACHE_SIZE = 2048
+_code_cache: OrderedDict = OrderedDict()
+
+
+def code_object(source: str, filename: str):
+    key = (source, filename)
+    code = _code_cache.get(key)
+    if code is None:
+        code = _code_cache[key] = compile(source, filename, "exec")
+        if len(_code_cache) > CODE_CACHE_SIZE:
+            _code_cache.popitem(last=False)
+    else:
+        _code_cache.move_to_end(key)
+    return code
+
+
 # ---------------------------------------------------------------------------
 # Memory policies
 # ---------------------------------------------------------------------------
 
 def _tx_helpers(interp) -> dict:
-    """Word access re-checking hook and transaction per access: profiling
-    installs ``mem_hook`` mid-run via RTCALLs (external-call windows) and
-    workers open transactions mid-block.  Given the instruction, an access
-    calls the hook first; the worker's own stack bypasses the transaction."""
+    """Word access re-checking hook and transaction per access: a hook
+    may be installed mid-run and workers open transactions mid-block.
+    Given the instruction, an access calls the hook first; the worker's
+    own stack bypasses the transaction."""
     memory_read = interp.machine.memory.read
     memory_write = interp.machine.memory.write
     stack_size = layout.THREAD_STACK_SIZE
@@ -162,6 +196,7 @@ class _Fast:
     traces = True
     hooked = False  # calls mem_hook (counted in JITStats.instrumented_blocks)
     transactional = False  # accesses may have to go through a transaction
+    logs_loads = False  # records every dynamic load: no load may merge
     attributes: dict = {}  # set on the compiled runner
 
     def __init__(self, interp, inline=False):
@@ -200,11 +235,11 @@ class _Fast:
 
 
 class _Instrumented(_Fast):
-    """Hook and transaction threaded through every access (profiling, STM).
+    """Hook and transaction threaded through every access (the verify
+    oracle, hook-mode and STM workers).
 
     The hook and transaction are read *at run time* (not bound at compile
-    time) because profiling installs ``mem_hook`` mid-run via RTCALLs
-    (external-call windows) and workers open transactions mid-block.
+    time) because workers open transactions mid-block.
     """
 
     label = "inst"
@@ -287,6 +322,46 @@ class _DynamicShadow(_StaticShadow):
     recorded_if = "_in.active_tx is None and "
 
 
+class _Window(_StaticShadow):
+    """Fast access plus the training profiler's external-call window.
+
+    While a :class:`~repro.dbm.shadow.WindowLog` is the shadow sink,
+    every access the memory hook would see lands in it in order, one
+    event per lane: a read of word ``w`` as ``w``, a write as ``~w``.
+    A block with RTCALL/SYSCALL can close the window mid-block, so it
+    re-checks the sink per access.
+    """
+
+    label = "window"
+    logs_loads = True
+
+    def __init__(self, interp, inline=False, dynamic=False):
+        _Fast.__init__(self, interp, inline)
+        self.sink = interp.shadow_sink
+        self.summarised = frozenset()
+        self.attributes = {"__shadow_dynamic__": dynamic}
+        self.traces = not dynamic
+        self.recorded_if = "if _in.shadow_sink is _sk: " if dynamic else ""
+
+    def bind(self, ns):
+        _Fast.bind(self, ns)
+        ns.update(_wl=self.sink.append, _wx=self.sink.extend, _sk=self.sink)
+
+    def record(self, em, op, a, write, lanes=1):
+        em.emit(self.recorded_if + _log_words(a, write, lanes, "_wl", "_wx"))
+
+
+def _log_words(a: str, write: bool, lanes: int, append: str,
+               extend: str) -> str:
+    """Source logging one access as word events: a word per lane, a
+    write of word ``w`` as ``~w`` (the profiler's event encoding)."""
+    sign = "~" if write else ""
+    if lanes == 1:
+        return f"{append}({sign}{a})"
+    words = ", ".join(f"{sign}({a} + {8 * k})" for k in range(lanes))
+    return f"{extend}(({words}))"
+
+
 def select_policy(interp, instructions, instrumented=False, shadow=False,
                   inline=False):
     """The memory policy of one runner (the only place variants differ).
@@ -299,7 +374,10 @@ def select_policy(interp, instructions, instrumented=False, shadow=False,
         return _Instrumented(interp)
     if not shadow:
         return _Fast(interp, inline)
-    if any(ins.opcode in BARRIER_OPCODES for ins in instructions):
+    dynamic = any(is_barrier(ins, interp.profiler) for ins in instructions)
+    if isinstance(interp.shadow_sink, WindowLog):
+        return _Window(interp, inline, dynamic)
+    if dynamic:
         return _DynamicShadow(interp)
     return _StaticShadow(interp, inline)
 
@@ -328,7 +406,7 @@ def compile_block_fn(block, interp, lookup=None, instrumented=False,
     instructions = block.instructions
     policy = select_policy(interp, instructions, instrumented, shadow)
     em = Emitter(interp, lookup, policy, block)
-    ops = lower_block(instructions, em.resolve, block.end)
+    ops = lower_block(instructions, em.resolve, block.end, em.profiler)
     trace = em.traceable()
     # A checked helper may raise MemoryFault (a misaligned word) while the
     # flags -- the only state a block runner keeps in a local -- differ
@@ -364,7 +442,7 @@ def compile_block_fn(block, interp, lookup=None, instrumented=False,
     return em.finish(f"_jx_{block.start:x}", policy.label,
                      ["g = ctx.gregs", "x = ctx.fregs", "f = ctx.flags"],
                      partial(lower_block, instructions, em.resolve,
-                             block.end))
+                             block.end, em.profiler))
 
 
 class Emitter:
@@ -384,6 +462,7 @@ class Emitter:
         self.policy = policy
         self.block = block
         self.stats = interp.jit_stats
+        self.profiler = interp.profiler
         process = interp.process
         self.resolve = (process.resolve_target if process is not None
                         else _identity)
@@ -530,6 +609,21 @@ class Emitter:
             self.policy.record(self, op, self.address(op), op.fn == "w",
                                op.args[4])
 
+    def _event(self, op) -> None:
+        """A PROF_MEM site: its words join the loop's event list (bound
+        once per runner; the profiler clears it in place) and it pays
+        the profiling charge."""
+        events = self.profiler.events[op.aux]
+        append, extend = f"_pe{op.aux}", f"_px{op.aux}"
+        self.ns[append], self.ns[extend] = events.append, events.extend
+        self.emit(_log_words(self.address(op), op.fn == "w", op.args[4],
+                             append, extend))
+        self.emit(f"ctx.cycles += {self.profiler.event_cycles}")
+
+    def _iter(self, op) -> None:
+        self.ns["_pit"] = self.profiler.iterate
+        self.emit(f"_pit(ctx, {op.aux})")
+
     def _check(self, op) -> None:
         self.emit(f"if {op.fn.format(*map(self.val, op.args))}:")
         self.indent += 1
@@ -545,6 +639,10 @@ class Emitter:
             self.emit("if _in.rtcall_handler is None:")
             self.emit("    raise _err('RTCALL executed with no runtime "
                       "attached')")
+            # RTCALLs end traces and superblocks, so this is a block
+            # runner, which charged its instructions at entry.
+            self.emit(f"_in.rtcall_entry = ctx.instructions - "
+                      f"{len(self.block.instructions)}")
             self.emit(f"t = _in.rtcall_handler(ctx, {op.aux[0]}, "
                       f"{op.aux[1]})")
             # Runtime handlers may replace the register lists wholesale
@@ -693,7 +791,7 @@ class Emitter:
         block = self.block
         if self.lookup is None or not self.policy.traces:
             return False
-        if any(ins.opcode in BARRIER_OPCODES for ins in block.instructions):
+        if any(is_barrier(ins, self.profiler) for ins in block.instructions):
             return False
         term = block.terminator
         if term.opcode in JCC or term.opcode is Opcode.JMP:
@@ -708,9 +806,8 @@ class Emitter:
         source = "\n".join([f"def {fname}(ctx):"]
                            + ["    " + line for line in head]
                            + self.lines) + "\n"
-        code = compile(source, f"<jit {label} {self.block.start:#x}>",
-                       "exec")
-        exec(code, self.ns)
+        exec(code_object(source, f"<jit {label} {self.block.start:#x}>"),
+             self.ns)
         fn = self.ns[fname]
         fn.__jit_source__ = source
         fn.__jit_ops__ = ops

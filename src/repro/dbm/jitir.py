@@ -29,10 +29,17 @@ local or a cell of ``ctx.gregs``/``ctx.fregs``.  Op kinds:
 ``probe``  the single hook/shadow event of a packed access at address
            ``args[:4]`` covering ``args[4]`` lanes (``fn`` ``"r"``/``"w"``);
            the quiet lane accesses follow.
+``event``  a training-stage PROF_MEM site lowered inline: the access at
+           address ``args[:4]`` covering ``args[4]`` lanes (``fn``
+           ``"r"``/``"w"``) joins loop ``aux``'s profiling events.
+``iter``   a training-stage PROF_LOOP_ITER lowered inline: loop ``aux``
+           starts an iteration.
 ``check``  raise ``JXRuntimeError(aux)`` when the ``fn`` test of ``args``
            holds (divide by zero, negative sqrt).
 ``call``   SYSCALL / RTCALL / reference fallback (``fn`` ``sys``/``rt``/
-           ``x``): a barrier that may read or rewrite any state.
+           ``x``): a barrier that may read or rewrite any state.  With
+           a training profiler attached, PROF_MEM and PROF_LOOP_ITER
+           RTCALLs are ``event``/``iter`` ops (:func:`profiled_inline`).
 ``exit``   leave the runner (``fn`` ``jmp``/``ijmp``/``ret``/``halt``), or
            close a superblock's iteration (``back``, its back edge).
 ``seg``    superblock segment boundary: ``aux`` is the cycle/instruction
@@ -54,6 +61,7 @@ from repro.isa.instructions import CONDITION_OF, Opcode
 from repro.isa.operands import Imm, Mem, Reg
 from repro.isa.registers import NUM_GPR, NUM_XMM, STACK_REG, XMM_BASE
 from repro.dbm.memory import s64
+from repro.dbm.rtcalls import RTCallID
 
 _U64 = (1 << 64) - 1
 
@@ -82,6 +90,7 @@ _PACKED = {Opcode.MOVAPD: None, Opcode.VMOVAPD: None,
            Opcode.MULPD: "mul", Opcode.VMULPD: "mul",
            Opcode.DIVPD: "div", Opcode.VDIVPD: "div"}
 BARRIER_OPCODES = frozenset((Opcode.SYSCALL, Opcode.RTCALL))
+_INLINE_RTCALLS = frozenset((RTCallID.PROF_MEM, RTCallID.PROF_LOOP_ITER))
 _INT_ALU = {Opcode.ADD: "add", Opcode.SUB: "sub", Opcode.IMUL: "mul",
             Opcode.AND: "and", Opcode.OR: "or", Opcode.XOR: "xor"}
 _WRAPPING = frozenset((Opcode.ADD, Opcode.SUB, Opcode.IMUL))
@@ -155,6 +164,25 @@ def aligned(args) -> bool:
         and not args[3] % 8
 
 
+def profiled_inline(ins, profiler) -> bool:
+    """Is ``ins`` a profiling RTCALL the JIT lowers inline?
+
+    With a training profiler attached (``profiler``, else ``None``),
+    PROF_MEM sites and PROF_LOOP_ITER become ``event`` and ``iter`` ops:
+    neither changes the loop-frame stack, installs a hook or touches
+    architectural state, so neither is a barrier.
+    """
+    return profiler is not None and ins.opcode is Opcode.RTCALL \
+        and ins.operands[0].value in _INLINE_RTCALLS
+
+
+def is_barrier(ins, profiler=None) -> bool:
+    """SYSCALL and RTCALL end traces and superblocks: they may halt,
+    install a hook or open a transaction."""
+    return ins.opcode in BARRIER_OPCODES \
+        and not profiled_inline(ins, profiler)
+
+
 def can_raise(op: Op) -> bool:
     kind = op.kind
     return kind == "check" or (kind in ("load", "store")
@@ -170,11 +198,13 @@ class Lowering:
 
     One instance lowers one runner (a block, or every segment of a
     superblock), so temporaries are unique across the whole op list.
-    ``resolve`` maps raw branch targets to code addresses.
+    ``resolve`` maps raw branch targets to code addresses; ``profiler``
+    is the interpreter's training profiler (see :func:`profiled_inline`).
     """
 
-    def __init__(self, resolve):
+    def __init__(self, resolve, profiler=None):
         self.resolve = resolve
+        self.profiler = profiler
         self.ops: list[Op] = []
         self.n = 0
         self.cond = None
@@ -370,8 +400,15 @@ class Lowering:
         elif op is Opcode.SYSCALL:
             self.op("call", fn="sys")
         elif op is Opcode.RTCALL:
-            self.op("call", fn="rt", aux=(
-                ops[0].value, ops[1].value if len(ops) > 1 else 0))
+            arg = ops[1].value if len(ops) > 1 else 0
+            if not profiled_inline(ins, self.profiler):
+                self.op("call", fn="rt", aux=(ops[0].value, arg))
+            elif ops[0].value == RTCallID.PROF_LOOP_ITER:
+                self.op("iter", aux=arg)
+            else:
+                operand, lanes, is_write, loop_id = self.profiler.site(arg)
+                self.op("event", None, self.addr(operand) + (lanes,),
+                        "w" if is_write else "r", loop_id)
         elif op in (Opcode.NOP, Opcode.PREFETCH):
             pass  # hints: no architectural effect in any tier
         else:
@@ -414,9 +451,9 @@ class Lowering:
                     (base, index, scale, disp + 8 * i, values[i]), "f", True)
 
 
-def lower_block(instructions, resolve, end: int) -> list[Op]:
+def lower_block(instructions, resolve, end: int, profiler=None) -> list[Op]:
     """The op list of one block runner (ends in an exit on every path)."""
-    lowering = Lowering(resolve)
+    lowering = Lowering(resolve, profiler)
     for ins in instructions:
         # No pass runs on a block runner, so no value crosses instructions:
         # temporaries restart per instruction (fewer locals per call).
@@ -484,7 +521,7 @@ def fold(ops: list[Op]) -> list[Op]:
         if kind == "call":
             const.clear()
             copy.clear()
-        if kind in ("load", "store", "probe") or op.fn == "ea":
+        if kind in ("load", "store", "probe", "event") or op.fn == "ea":
             op.args = args = _normalise(args)
         if kind == "set" and op.cond is None:
             if op.fn == "ea":
@@ -605,5 +642,8 @@ def dse(ops: list[Op]) -> list[Op]:
     return out
 
 
-def optimise(ops: list[Op]) -> list[Op]:
-    return dse(cse(fold(ops)))
+def optimise(ops: list[Op], merge_loads: bool = True) -> list[Op]:
+    """All passes; ``merge_loads=False`` keeps CSE away from a policy that
+    must see every dynamic load (a profiling window counts them)."""
+    ops = fold(ops)
+    return dse(cse(ops) if merge_loads else ops)

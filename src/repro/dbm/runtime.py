@@ -34,6 +34,7 @@ thread's clock along with the modelled overheads (DESIGN.md section 5).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -153,6 +154,20 @@ class WorkerState:
             self.view = ShadowView.from_sets(
                 self.thread_id, self.reads, self.writes, self.line_writes)
         return self.view
+
+
+def _strided_hit(strided, words) -> bool:
+    """Does any ``(interval, descriptor)`` contain one of ``words``?"""
+    if not strided or not words:
+        return False
+    ordered = sorted(words)
+    for (lo, hi), desc in strided:
+        k = bisect_left(ordered, lo)
+        while k < len(ordered) and ordered[k] <= hi:
+            if desc.contains(ordered[k]):
+                return True
+            k += 1
+    return False
 
 
 class ParallelRuntime:
@@ -701,39 +716,53 @@ class ParallelRuntime:
     def _charge_stm_late_conflicts(self, workers: list[WorkerState]) -> None:
         """Model aborts against younger threads' writes (section II-E3).
 
-        Younger threads' non-transactional writes are queried through
-        their :class:`ShadowView` (cheap membership, no expansion in
-        compiled mode); transactional write sets are exact either way.
+        A transaction aborts when it read a word some younger thread
+        wrote, transactionally or not.  The younger threads' writes are
+        gathered once, as suffix unions: their transactional write sets
+        and their views' written words (no descriptor is expanded), plus
+        the write descriptors the views leave unexpanded, which are only
+        tested for words of the read set inside their interval.  Workers
+        are visited oldest first, so aborts, penalties and ``stm.abort``
+        events keep their order.
         """
+        first = next((i for i, w in enumerate(workers) if w.tx_log), None)
+        if first is None:
+            return
+        words: set[int] = set()
+        strided: list = []
+        younger: list = [(words, strided)] * len(workers)
+        for i in range(len(workers) - 1, first, -1):
+            worker = workers[i]
+            exact, unexpanded = worker.shadow_view().written_words()
+            words = words | exact
+            for _tx_reads, tx_writes in worker.tx_log:
+                words |= tx_writes
+            if unexpanded:
+                strided = strided + [(d.interval(), d) for d in unexpanded]
+            younger[i - 1] = (words, strided)
         cost = self.dbm.cost
-        for i, worker in enumerate(workers):
-            if not worker.tx_log:
-                continue
-            later = workers[i + 1:]
-            later_tx_writes: set[int] = set()
-            for other in later:
-                for _tx_reads, tx_writes in other.tx_log:
-                    later_tx_writes |= tx_writes
-            if not later_tx_writes \
-                    and not any(o.shadow_view().has_writes() for o in later):
+        for i in range(first, len(workers)):
+            worker = workers[i]
+            words, strided = younger[i]
+            if not worker.tx_log or not (words or strided):
                 continue
             for tx_reads, tx_writes in worker.tx_log:
-                if any(addr in later_tx_writes
-                       or any(o.shadow_view().writes_contain(addr) for o in later)
-                       for addr in tx_reads):
-                    self.stm.stats.aborts += 1
-                    recorder = get_recorder()
-                    if recorder.enabled:
-                        recorder.instant("stm.abort", cat="stm",
-                                         thread=worker.thread_id,
-                                         reads=len(tx_reads),
-                                         writes=len(tx_writes),
-                                         late_conflict=True)
-                    penalty = (cost.stm_abort_cycles
-                               + len(tx_reads) * cost.stm_read_cycles
-                               + len(tx_writes) * cost.stm_write_cycles)
-                    worker.ctx.cycles += penalty
-                    self.dbm.stats.stm_cycles += penalty
+                if words.isdisjoint(tx_reads) \
+                        and not _strided_hit(strided, tx_reads):
+                    continue
+                self.stm.stats.aborts += 1
+                recorder = get_recorder()
+                if recorder.enabled:
+                    recorder.instant("stm.abort", cat="stm",
+                                     thread=worker.thread_id,
+                                     reads=len(tx_reads),
+                                     writes=len(tx_writes),
+                                     late_conflict=True)
+                penalty = (cost.stm_abort_cycles
+                           + len(tx_reads) * cost.stm_read_cycles
+                           + len(tx_writes) * cost.stm_write_cycles)
+                worker.ctx.cycles += penalty
+                self.dbm.stats.stm_cycles += penalty
 
     def _detect_violations(self, workers: list[WorkerState]) -> None:
         """Pairwise cross-thread conflict check over the shadow views.

@@ -79,6 +79,19 @@ class ShadowSink:
                 + len(self.packed_reads) + len(self.packed_writes))
 
 
+class WindowLog(list):
+    """The training profiler's open external-call windows, as one log.
+
+    Installed as ``Interpreter.shadow_sink`` while a window is open
+    (:mod:`repro.profiling.profiler`): the shadow tiers compile the
+    window policy and append every access a memory hook would see, in
+    order, one event per lane -- a read of word ``w`` as ``w``, a write
+    as ``~w``.  Cleared in place when the last window closes.
+    """
+
+    __slots__ = ()
+
+
 class StrideDescriptor:
     """All executions of one affine access site within one chunk.
 
@@ -283,25 +296,22 @@ class ShadowView:
 
     # -- cheap membership (no full expansion) ---------------------------
 
-    def has_writes(self) -> bool:
-        if self._exact:
-            return bool(self._writes)
-        sink = self.sink
-        return bool(sink.writes or sink.packed_writes
-                    or any(d.is_write for d in self.descriptors))
-
-    def writes_contain(self, addr: int) -> bool:
+    def written_words(self) -> tuple[set[int], list[StrideDescriptor]]:
+        """Every written word without expanding a descriptor: the exact
+        set once materialised, else the raw and packed words plus the
+        write descriptors left unexpanded."""
         if self._writes is not None:
-            return addr in self._writes
+            return self._writes, []
         if self._raw_writes is None:
             raw = set(self.sink.writes)
             for base, lanes in self.sink.packed_writes:
                 raw.update(base + WORD * k for k in range(lanes))
             self._raw_writes = raw
-        if addr in self._raw_writes:
-            return True
-        return any(d.is_write and d.contains(addr)
-                   for d in self.descriptors)
+        return self._raw_writes, [d for d in self.descriptors if d.is_write]
+
+    def writes_contain(self, addr: int) -> bool:
+        words, strided = self.written_words()
+        return addr in words or any(d.contains(addr) for d in strided)
 
     # -- false-sharing line counts --------------------------------------
 

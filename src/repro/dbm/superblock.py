@@ -30,9 +30,9 @@ top — DynamoRIO's trace building, PyPy's bridges, in miniature:
   blocks actually entered — folded to constants per exit site) before
   returning to the block tier.  Superblocks are fast-path-only: the
   legality predicate the dispatcher uses for the fast block variant (no
-  memory hook, no open transaction, no listeners) is re-checked at every
-  loop back edge, and a violation deopts to the block tier at a clean
-  block boundary.
+  memory hook, no open transaction, the same shadow sink) is re-checked at
+  every loop back edge, and a violation deopts to the block tier at a
+  clean block boundary.
 
 Exit kinds and their contracts (DESIGN.md section 5):
 
@@ -60,8 +60,8 @@ from functools import partial
 
 from repro.isa.instructions import CONDITION_OF, Opcode
 from repro.dbm.jit import CELLS, Emitter, _identity, select_policy
-from repro.dbm.jitir import (ARCH, BARRIER_OPCODES, JCC, NEG_COND, Lowering,
-                             Op, optimise)
+from repro.dbm.jitir import (ARCH, JCC, NEG_COND, Lowering, Op, is_barrier,
+                             optimise)
 from repro.telemetry.core import RegistryView
 
 # Back-edge (or trace-entry) count at which the dispatcher attempts
@@ -131,9 +131,9 @@ def _walk(head, interp, lookup, ctx, last_succ, shadow=False):
     * ``("ret", expected)`` — pop and guard the return address.
 
     ``None`` when the path is not a single-entry loop the tier can
-    compile: indirect terminators, SYSCALL/RTCALL blocks, unobserved
-    edges, interior cycles, another loop head's territory, or the size
-    budget.
+    compile: indirect terminators, SYSCALL/RTCALL blocks (inline profiling
+    sites aside), unobserved edges, interior cycles, another loop head's
+    territory, or the size budget.
     """
     process = interp.process
     resolve = process.resolve_target if process is not None else _identity
@@ -149,7 +149,7 @@ def _walk(head, interp, lookup, ctx, last_succ, shadow=False):
         if block is not head and (slot is not None or block.is_self_loop):
             return None  # interior of another hot loop: its own tier owns it
         for ins in block.instructions:
-            if ins.opcode in BARRIER_OPCODES:
+            if is_barrier(ins, interp.profiler):
                 return None
         seen.add(block.start)
         total += len(block.instructions)
@@ -207,10 +207,10 @@ def _walk(head, interp, lookup, ctx, last_succ, shadow=False):
         block = lookup(succ, ctx)
 
 
-def stitch(segments, resolve) -> list[Op]:
+def stitch(segments, resolve, profiler=None, merge_loads=True) -> list[Op]:
     """The optimised op list of a walked superblock (ends in its back
     edge)."""
-    lowering = Lowering(resolve)
+    lowering = Lowering(resolve, profiler)
     ops = lowering.ops
     cum_cy = cum_ic = 0
     for block, plan in segments:
@@ -236,7 +236,7 @@ def stitch(segments, resolve) -> list[Op]:
         elif kind == "ret":
             ops.append(Op("exit", None, last.args, "ret", plan[1]))
     ops.append(Op("exit", fn="back"))
-    return optimise(ops)
+    return optimise(ops, merge_loads)
 
 
 def _compile(segments, interp, lookup, shadow):
@@ -245,7 +245,8 @@ def _compile(segments, interp, lookup, shadow):
         interp, [ins for block, _plan in segments
                  for ins in block.instructions], shadow=shadow, inline=True)
     em = Emitter(interp, lookup, policy, head)
-    ops = stitch(segments, em.resolve)
+    merge_loads = not policy.logs_loads
+    ops = stitch(segments, em.resolve, em.profiler, merge_loads)
     # Every architectural register the ops touch lives in a Python local
     # for the superblock's lifetime, spilled back only at exits.
     names = {name for op in ops for name in op.args + (op.dst,)
@@ -268,4 +269,5 @@ def _compile(segments, interp, lookup, shadow):
     em.indent = 2
     em.body(ops)
     return em.finish(f"_jsb_{head.start:x}", f"super {policy.label}", lines,
-                     partial(stitch, segments, em.resolve))
+                     partial(stitch, segments, em.resolve, em.profiler,
+                             merge_loads))

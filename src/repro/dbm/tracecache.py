@@ -7,18 +7,20 @@ successor block itself* (a link), in which case the loop re-enters compiled
 code immediately — no code-cache lookup.
 
 Fast-path legality is re-checked at every block boundary: the fast variant
-runs only while no memory hook is installed, no transaction is open and no
-block listeners are attached; otherwise the instrumented variant runs (it
-re-checks the hook/transaction *per access*, so mid-block installation —
-e.g. a profiler external-call window — behaves exactly like the reference
-interpreter).  Listeners force per-block dispatch (never traces) because
-the coverage profiler attributes instructions block-by-block.
+runs only while no memory hook is installed and no transaction is open;
+otherwise the instrumented variant runs (it re-checks the hook/transaction
+*per access*, so mid-block installation behaves exactly like the reference
+interpreter).  Training needs nothing more: the profiler counts coverage
+at its loop RTCALLs, its per-access and per-iteration sites are inline
+ops, and an external call's profiling window is a shadow sink (below), so
+training reaches traces and superblocks (:mod:`repro.profiling.profiler`).
 
 When a :class:`~repro.dbm.shadow.ShadowSink` is installed (parallel
-workers in compiled shadow mode) the fast tier is replaced wholesale by
-the *shadow* tier — ``jit_super_shadow``/``jit_shadow`` runners that link,
-trace and form superblocks exactly like the fast tier while recording
-filtered raw events into the sink.  A block entered with an open
+workers in compiled shadow mode), or a :class:`~repro.dbm.shadow.WindowLog`
+(a training run inside a profiling window), the fast tier is replaced
+wholesale by the *shadow* tier — ``jit_super_shadow``/``jit_shadow``
+runners that link, trace and form superblocks exactly like the fast tier
+while recording events into the sink.  A block entered with an open
 transaction runs its shadow runner only if that runner is *dynamic*
 (``__shadow_dynamic__``: the block contains an RTCALL that may close the
 transaction, and post-close accesses must still be recorded); static
@@ -46,8 +48,7 @@ from repro.dbm.superblock import maybe_form_superblock
 
 
 def run_loop(interp, ctx, pc: int, lookup,
-             max_instructions: int | None = None,
-             listeners=()) -> None:
+             max_instructions: int | None = None) -> None:
     """Run from ``pc`` until the program halts.
 
     ``lookup(pc, ctx) -> Block`` is the caller's code-cache lookup
@@ -72,9 +73,6 @@ def run_loop(interp, ctx, pc: int, lookup,
     while True:
         if interp.force_reference:
             nxt = interp.execute_block_reference(ctx, block)
-            if listeners:
-                for listener in listeners:
-                    listener(ctx, block)
             if max_instructions is not None \
                     and ctx.instructions > max_instructions:
                 raise ExecutionLimitExceeded(
@@ -83,8 +81,7 @@ def run_loop(interp, ctx, pc: int, lookup,
                 return
             block = lookup(nxt, ctx)
             continue
-        fast = interp.mem_hook is None and interp.active_tx is None \
-            and not listeners
+        fast = interp.mem_hook is None and interp.active_tx is None
         sink = interp.shadow_sink
         if fast:
             if sink is None:
@@ -103,8 +100,7 @@ def run_loop(interp, ctx, pc: int, lookup,
                             block, interp, lookup, shadow=True)
         else:
             run = None
-            if sink is not None and interp.mem_hook is None \
-                    and not listeners:
+            if sink is not None and interp.mem_hook is None:
                 # Transaction open at entry.  A dynamic shadow runner
                 # redirects pre-close accesses through the tx and records
                 # the post-TX_FINISH tail; a static block cannot close
@@ -122,9 +118,6 @@ def run_loop(interp, ctx, pc: int, lookup,
                     run = block.jit_inst = compile_block_fn(
                         block, interp, lookup, instrumented=True)
         nxt = run(ctx)
-        if listeners:
-            for listener in listeners:
-                listener(ctx, block)
         if max_instructions is not None \
                 and ctx.instructions > max_instructions:
             raise ExecutionLimitExceeded(

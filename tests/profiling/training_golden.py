@@ -120,15 +120,26 @@ def load_golden() -> dict:
         return json.load(handle)
 
 
-def diff(expected: dict, actual: dict) -> list[str]:
-    """Human-readable differences between two entries of one build."""
-    out = []
-    for kind in sorted(set(expected) | set(actual)):
-        want, got = expected.get(kind), actual.get(kind)
-        if want != got:
-            out.append(f"{kind}: expected {json.dumps(want)[:400]} "
-                       f"got {json.dumps(got)[:400]}")
-    return out
+def diff(expected, actual, path: str = "", limit: int = 12) -> list[str]:
+    """The differing leaves of two entries, as ``path: expected -> got``."""
+    if isinstance(expected, dict) and isinstance(actual, dict):
+        out = []
+        for key in sorted(set(expected) | set(actual)):
+            out += diff(expected.get(key), actual.get(key),
+                        f"{path}/{key}", limit - len(out))
+            if len(out) >= limit:
+                break
+        return out
+    if isinstance(expected, list) and isinstance(actual, list) \
+            and len(expected) == len(actual) \
+            and all(isinstance(e, dict) for e in expected):
+        out = []
+        for index, (want, got) in enumerate(zip(expected, actual)):
+            out += diff(want, got, f"{path}/{index}", limit - len(out))
+        return out[:limit]
+    if expected != actual:
+        return [f"{path}: {json.dumps(expected)} -> {json.dumps(actual)}"]
+    return []
 
 
 def main(argv=None) -> int:
