@@ -341,14 +341,14 @@ class _Window(_StaticShadow):
         self.summarised = frozenset()
         self.attributes = {"__shadow_dynamic__": dynamic}
         self.traces = not dynamic
-        self.recorded_if = "if _in.shadow_sink is _sk: " if dynamic else ""
+        self.guard = "if _in.shadow_sink is _sk: " if dynamic else ""
 
     def bind(self, ns):
         _Fast.bind(self, ns)
         ns.update(_wl=self.sink.append, _wx=self.sink.extend, _sk=self.sink)
 
     def record(self, em, op, a, write, lanes=1):
-        em.emit(self.recorded_if + _log_words(a, write, lanes, "_wl", "_wx"))
+        em.emit(self.guard + _log_words(a, write, lanes, "_wl", "_wx"))
 
 
 def _log_words(a: str, write: bool, lanes: int, append: str,

@@ -137,7 +137,7 @@ class WorkerState:
     tx_covered: set[int] = field(default_factory=set)
     # write counts per cache line for the false-sharing model.
     line_writes: Counter = field(default_factory=Counter)
-    # (n_reads, n_writes, had_conflict_candidate) per finished transaction.
+    # (read words, written words) per finished transaction.
     tx_log: list = field(default_factory=list)
     # Compiled shadow mode: the persistent per-thread event sink and the
     # stride descriptors recorded for this invocation's chunks.

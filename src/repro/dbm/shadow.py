@@ -309,10 +309,6 @@ class ShadowView:
             self._raw_writes = raw
         return self._raw_writes, [d for d in self.descriptors if d.is_write]
 
-    def writes_contain(self, addr: int) -> bool:
-        words, strided = self.written_words()
-        return addr in words or any(d.contains(addr) for d in strided)
-
     # -- false-sharing line counts --------------------------------------
 
     def line_counts(self) -> Counter:

@@ -223,7 +223,7 @@ class Profiler:
     def _excall_start(self, ctx, record_index: int):
         ctx.cycles += self.event_cycles
         _, loop_id, name = self.dbm.schedule.record(record_index)
-        self._profile(loop_id)
+        self._profile(loop_id)  # profiles keep their first-event order
         if not self._windows:
             # The reference interpreter has no shadow tiers: it logs
             # through a hook.
