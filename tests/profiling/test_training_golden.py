@@ -4,8 +4,9 @@ The golden file holds every training and Fig. 6 profile of the suite
 (see ``training_golden.py``; CI checks all of them).  This subset covers
 each profiling path once: coverage only, a dependence replay that never
 reaches 8 samples, dependence samples plus an external-call window, an
-internal-call window at -O2, the pow windows of an icc build, and packed
-(-mavx) accesses.
+internal-call window at -O2, the pow windows of an icc build, packed
+(-mavx) accesses, dependence samples beside call windows in an icc
+build, and the longest training run (superblocks form in it).
 """
 
 import pytest
@@ -20,6 +21,8 @@ SUBSET = (
     ("433.milc", "gcc-O2"),
     ("410.bwaves", "icc-O3"),
     ("470.lbm", "gcc-O3-mavx"),
+    ("437.leslie3d", "icc-O3"),
+    ("459.GemsFDTD", "default"),
 )
 
 
